@@ -8,7 +8,9 @@ that imports ``stokesheat.cli`` and calls ``cli.main`` on the workload's
 command sequence, because a user pays every per-process cost (imports, any
 memoized rule) on each CLI run.  Iterations run one after another (a closed
 loop with one client); BLAS keeps its default thread count and children
-inherit the environment unchanged apart from PYTHONPATH.
+inherit the environment unchanged apart from PYTHONPATH.  Workloads whose
+iterations are long add import-only children between iterations, so that
+``import_s`` is a median over more fresh imports.
 
 With ``--trace 0`` the last stdout line holds the end-to-end metrics, with
 ``--trace 1`` the per-layer metrics of a traced run (spans recorded by
@@ -140,6 +142,10 @@ def expect_warm(failures, caches):
 class Workload:
     """A CLI command sequence, its set-up and the checks on its outputs."""
 
+    # import-only children after each untraced iteration, so that workloads
+    # with few long iterations still take a median over enough imports
+    import_probes = 0
+
     def check_once(self, ctx, it, failures):
         """Checks too costly for every iteration, run on the first one."""
 
@@ -149,6 +155,7 @@ class EigensCold(Workload):
     basis build and the cache writer dominate."""
 
     probe_lambda = 3000
+    import_probes = 1
 
     def setup(self, work, rep):
         """Finite-difference reference eigenvalues for the sector check."""
@@ -232,6 +239,7 @@ class Observability(Workload):
     and the oracle."""
 
     probe_lambda = 400
+    import_probes = 1
 
     def setup(self, work, rep):
         return cache_builds(work, rep, (400, 220))
@@ -378,6 +386,7 @@ def _run(args, wl, work):
         setup_s.append(wall)
 
     samples, failures, summaries, counters, spans = [], [], [], [], None
+    probe_import_s = []
     untraced_digest = None
     t_start = time.monotonic()
     i = 0
@@ -421,6 +430,9 @@ def _run(args, wl, work):
                             "ok": not errs})
         failures.extend(f"iteration {i}: {e}" for e in errs)
         shutil.rmtree(it, ignore_errors=True)
+        for _ in range(0 if args.trace else wl.import_probes):
+            probe, _ = run_child("iteration", ["0", "[]"], work)
+            probe_import_s.append(probe["import_s"])
         i += 1
         if (time.monotonic() - t_start >= args.seconds
                 and (not args.trace or i >= 2)):
@@ -432,7 +444,8 @@ def _run(args, wl, work):
         raise ChildError("no iteration completed: " + "; ".join(failures))
     plain = [s for s in samples if not s["traced"]] or samples
     record = {"workload": args.workload, "environment": env,
-              "setup_s": setup_s, "samples": samples, "failures": failures,
+              "setup_s": setup_s, "samples": samples,
+              "probe_import_s": probe_import_s, "failures": failures,
               "fail_frac": failed / attempted}
 
     if args.trace:
@@ -456,17 +469,19 @@ def _run(args, wl, work):
     else:
         def med(key):
             return statistics.median(s[key] for s in plain)
+        imports = [s["import_s"] for s in plain] + probe_import_s
         metrics = {
             "solve_s": {"value": med("solve_s"), "unit": "s"},
-            "import_s": {"value": med("import_s"), "unit": "s"},
+            "import_s": {"value": statistics.median(imports), "unit": "s"},
             "setup_s": {"value": statistics.median(setup_s), "unit": "s"},
             "peak_rss_mb": {"value": med("peak_rss_mb"), "unit": "MB"},
             "ok_frac": {"value": (attempted - failed) / attempted,
                         "unit": "frac"},
         }
         print(f"{args.workload}: solve_s median {metrics['solve_s']['value']:.4f} "
-              f"over n={len(plain)} iterations, import_s "
-              f"{metrics['import_s']['value']:.4f}, setup_s median "
+              f"over n={len(plain)} iterations, import_s median "
+              f"{metrics['import_s']['value']:.4f} over n={len(imports)}, "
+              f"setup_s median "
               f"{metrics['setup_s']['value']:.4f} over n={len(setup_s)}, "
               f"fail_frac {failed / attempted:.3f} ({failed}/{attempted})")
     for f in failures:
