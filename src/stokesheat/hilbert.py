@@ -19,7 +19,13 @@ from .errors import (
     BasisVersionError,
     InvalidArgumentError,
 )
-from .quadrature import GAUSS_NODES_X2, gauss_legendre, trig_pair_integral
+from .quadrature import (
+    COS,
+    GAUSS_NODES_X2,
+    SIN,
+    gauss_legendre,
+    trig_pair_matrix,
+)
 from .spectral import (
     COSINE,
     SCHEMA_VERSION,
@@ -152,9 +158,7 @@ def obs_gramian(basis, region):
     a1, b1 = region.x1
     m = np.zeros((len(basis), len(basis)))
     for c in range(2):
-        x1_ints = trig_pair_integral(kinds[c][:, None], waves[c][:, None],
-                                     kinds[c][None, :], waves[c][None, :],
-                                     a1, b1)
+        x1_ints = trig_pair_matrix(kinds[c], waves[c], a1, b1)
         x2_ints = (vals[c] * w2) @ vals[c].T
         m += x1_ints * x2_ints
     m = 0.5 * (m + m.T)
@@ -207,8 +211,7 @@ def trace_gramian(basis):
         kinds[j] = kind
         waves[j] = wav
         amps[j] = mode.eta_trace
-    x1_ints = trig_pair_integral(kinds[:, None], waves[:, None],
-                                 kinds[None, :], waves[None, :], 0.0, TWO_PI)
+    x1_ints = trig_pair_matrix(kinds, waves, 0.0, TWO_PI)
     mat = np.outer(amps, amps) * x1_ints
     return 0.5 * (mat + mat.T)
 
@@ -221,8 +224,6 @@ def rayleigh_matrix(basis):
     deviation from that is a direct measure of mode quality independent of
     the orthonormality check.
     """
-    from .quadrature import COS, SIN, trig_pair_integral
-
     x2, w2 = gauss_legendre(GAUSS_NODES_X2, 0.0, 1.0)
     n = len(basis)
     total = np.zeros((n, n))
@@ -238,12 +239,8 @@ def rayleigh_matrix(basis):
         # d/dx1 of sin(kx) is +k cos(kx); of cos(kx) is -k sin(kx)
         dkinds = np.where(kinds == SIN, COS, SIN)
         dsign = np.where(kinds == SIN, 1.0, -1.0) * waves
-        x1_plain = trig_pair_integral(kinds[:, None], waves[:, None],
-                                      kinds[None, :], waves[None, :],
-                                      0.0, TWO_PI)
-        x1_deriv = trig_pair_integral(dkinds[:, None], waves[:, None],
-                                      dkinds[None, :], waves[None, :],
-                                      0.0, TWO_PI)
+        x1_plain = trig_pair_matrix(kinds, waves, 0.0, TWO_PI)
+        x1_deriv = trig_pair_matrix(dkinds, waves, 0.0, TWO_PI)
         v0s = v0 * dsign[:, None]
         total += x1_deriv * ((v0s * w2) @ v0s.T)      # d/dx1 part
         total += x1_plain * ((v1 * w2) @ v1.T)        # d/dx2 part
@@ -255,9 +252,7 @@ def rayleigh_matrix(basis):
         amps[j] = mode.eta_trace
     dkinds = np.where(kinds == SIN, COS, SIN)
     dsign = np.where(kinds == SIN, 1.0, -1.0) * waves
-    x1_deriv = trig_pair_integral(dkinds[:, None], waves[:, None],
-                                  dkinds[None, :], waves[None, :],
-                                  0.0, TWO_PI)
+    x1_deriv = trig_pair_matrix(dkinds, waves, 0.0, TWO_PI)
     total += x1_deriv * np.outer(amps * dsign, amps * dsign)
     return -0.5 * (total + total.T)
 

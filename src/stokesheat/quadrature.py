@@ -7,6 +7,8 @@ the dominant quadrature error from the exponentially ill-conditioned
 Gramian solves downstream.
 """
 
+import functools
+
 import numpy as np
 
 # trig kind codes used for the x1 factor of a field component
@@ -16,9 +18,18 @@ SIN = 1
 GAUSS_NODES_X2 = 64
 
 
-def gauss_legendre(n, a, b):
-    """Gauss-Legendre nodes and weights on [a, b]."""
+@functools.lru_cache(maxsize=None)
+def _reference_rule(n):
+    """Read-only n-point Gauss-Legendre rule on [-1, 1], built once per n."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def gauss_legendre(n, a, b):
+    """Gauss-Legendre nodes and weights on [a, b] (fresh arrays per call)."""
+    x, w = _reference_rule(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -51,17 +62,34 @@ def trig_pair_integral(kind1, k1, kind2, k2, a, b):
     kind2 = np.asarray(kind2)
     k1 = np.asarray(k1, dtype=float)
     k2 = np.asarray(k2, dtype=float)
-    kd = k1 - k2
-    ks = k1 + k2
-    cc = 0.5 * (_int_cos(kd, a, b) + _int_cos(ks, a, b))
-    ss = 0.5 * (_int_cos(kd, a, b) - _int_cos(ks, a, b))
-    sc = 0.5 * (_int_sin(ks, a, b) + _int_sin(kd, a, b))   # sin(k1 x) cos(k2 x)
-    cs = 0.5 * (_int_sin(ks, a, b) - _int_sin(kd, a, b))   # cos(k1 x) sin(k2 x)
+    cos_d, cos_s = _int_cos(k1 - k2, a, b), _int_cos(k1 + k2, a, b)
+    sin_d, sin_s = _int_sin(k1 - k2, a, b), _int_sin(k1 + k2, a, b)
+    cc = 0.5 * (cos_d + cos_s)
+    ss = 0.5 * (cos_d - cos_s)
+    sc = 0.5 * (sin_s + sin_d)   # sin(k1 x) cos(k2 x)
+    cs = 0.5 * (sin_s - sin_d)   # cos(k1 x) sin(k2 x)
     out = np.where(
         (kind1 == SIN) & (kind2 == SIN), ss,
         np.where((kind1 == COS) & (kind2 == COS), cc,
                  np.where((kind1 == SIN) & (kind2 == COS), sc, cs)))
     return out
+
+
+def trig_pair_matrix(kinds, waves, a, b):
+    """Pairwise matrix of :func:`trig_pair_integral` over one descriptor list.
+
+    Entry (i, j) is the integral of T_i T_j over [a, b], where T_i is given by
+    ``kinds[i]`` and ``waves[i]``.  A basis repeats each (kind, wave) pair
+    many times, so the closed form is evaluated once on the distinct pairs
+    and gathered; every entry is bit-identical to the broadcast call.
+    """
+    desc = np.column_stack((np.asarray(kinds), np.asarray(waves, dtype=float)))
+    uniq, inv = np.unique(desc, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    ukind, uwave = uniq[:, 0].astype(int), uniq[:, 1]
+    small = trig_pair_integral(ukind[:, None], uwave[:, None],
+                               ukind[None, :], uwave[None, :], a, b)
+    return small[np.ix_(inv, inv)]
 
 
 def trig_eval(kind, k, x, deriv=0):

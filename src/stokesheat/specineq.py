@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .fitting import linear_fit
 from .hilbert import check_gramian, obs_gramian, sampled_velocity_factor
-from .quadrature import gauss_legendre, trig_eval
+from .quadrature import GAUSS_NODES_X2, gauss_legendre, trig_eval
 from .spectral import mode_profile, mode_x1_trig
 
 _QUAD_MAX_LEVEL = 9
@@ -282,7 +282,7 @@ def _region_pressure_means(basis, idx, region):
     from .quadrature import trig_pair_integral, COS
 
     a1, b1 = region.x1
-    x2, w2 = gauss_legendre(64, *region.x2)
+    x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)
     means = np.zeros(len(idx))
     for col, j in enumerate(idx):
         mode = basis.modes[j]

@@ -206,11 +206,45 @@ def dispersion(k, lam):
     return float(np.linalg.det(_boundary_matrix(k, lam)))
 
 
+def _boundary_matrices(k, lams):
+    """Stack of ``_boundary_matrix(k, lam)`` over an array of lams, (N,4,4).
+
+    Every lam must lie on the same side of k**2 (one branch); the entries
+    repeat the scalar builder's arithmetic elementwise, so the scan sees the
+    same determinants bit for bit.  Powers stay on Python's float ``**``
+    (C ``pow``) because numpy's vectorized power may round the last bit
+    differently.
+    """
+    lams = np.asarray(lams, dtype=float)
+    kk = float(k)
+    oscillatory = lams[0] > kk * kk
+    s = np.sqrt(lams - kk * kk if oscillatory else kk * kk - lams)
+    s_list = s.tolist()
+
+    def fund(x, deriv):
+        x = np.asarray(x, dtype=float)
+        rows = np.empty((len(lams), 4))
+        rows[:, 0] = (-kk) ** deriv * np.exp(-kk * x)
+        rows[:, 1] = kk ** deriv * np.exp(kk * (x - 1.0))
+        s_pow = np.array([v ** deriv for v in s_list])
+        if oscillatory:
+            rows[:, 2] = s_pow * np.cos(s * x + deriv * 0.5 * np.pi)
+            rows[:, 3] = s_pow * np.sin(s * x + deriv * 0.5 * np.pi)
+        else:
+            rows[:, 2] = np.array([(-v) ** deriv for v in s_list]) * np.exp(-s * x)
+            rows[:, 3] = s_pow * np.exp(s * (x - 1.0))
+        return rows
+
+    mats = np.empty((len(lams), 4, 4))
+    mats[:, 0] = fund(0.0, 0)
+    mats[:, 1] = fund(0.0, 1)
+    mats[:, 2] = fund(1.0, 1)
+    mats[:, 3] = (k * k * (k * k - lams))[:, None] * fund(1.0, 0) - fund(1.0, 3)
+    return mats / np.abs(mats).max(axis=2, keepdims=True)
+
+
 def _dispersion_grid(k, lams):
-    out = np.empty(len(lams))
-    for i, lam in enumerate(lams):
-        out[i] = np.linalg.det(_boundary_matrix(k, lam))
-    return out
+    return np.linalg.det(_boundary_matrices(k, lams))
 
 
 def bracket_roots(k, lam_max, density=16):

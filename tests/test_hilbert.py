@@ -24,6 +24,8 @@ from stokesheat import (
     trace_gramian,
     zero_mode,
 )
+from stokesheat import hilbert
+from stokesheat.quadrature import trig_pair_integral
 from stokesheat.spectral import eval_mode
 
 
@@ -200,6 +202,22 @@ def test_rayleigh_matrix(basis120):
     assert np.abs(r - r.T).max() <= 1e-7
     dev = np.abs(r + np.diag(lams)) / lams.max()
     assert dev.max() <= 1e-6
+
+
+def test_gramians_match_broadcast_pair_integrals(monkeypatch, basis120,
+                                                region_half):
+    fast = (obs_gramian(basis120, region_half).matrix,
+            trace_gramian(basis120), rayleigh_matrix(basis120))
+
+    def broadcast(kinds, waves, a, b):
+        return trig_pair_integral(kinds[:, None], waves[:, None],
+                                  kinds[None, :], waves[None, :], a, b)
+
+    monkeypatch.setattr(hilbert, "trig_pair_matrix", broadcast)
+    ref = (obs_gramian(basis120, region_half).matrix,
+           trace_gramian(basis120), rayleigh_matrix(basis120))
+    for got, want in zip(fast, ref):
+        assert np.array_equal(got, want)
 
 
 def test_apply_B_full_region_identity(basis60):

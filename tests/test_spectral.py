@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stokesheat import (
     DegenerateBranchError,
@@ -102,6 +103,45 @@ def test_bracket_density_stability(k):
     base = bracket_roots(k, 400.0, density=16)
     fine = bracket_roots(k, 400.0, density=32)
     assert len(base) == len(fine)
+
+
+@st.composite
+def branch_points(draw):
+    """(k, lams): a wavenumber and points on one side of k**2, some of them
+    just outside the degeneracy guard."""
+    k = draw(st.integers(1, 64))
+    guard = spectral.degeneracy_tolerance(k)
+    side = draw(st.sampled_from((-1.0, 1.0)))
+    near = st.floats(1.01, 10.0).map(lambda t: k * k + side * guard * t)
+    if side < 0:
+        far = st.floats(1e-4, k * k - 2 * guard)
+    else:
+        far = st.floats(k * k + 2 * guard, 1e6)
+    lams = draw(st.lists(st.one_of(near, far), min_size=1, max_size=8))
+    return k, np.array(lams)
+
+
+@settings(max_examples=300, deadline=None)
+@given(branch_points())
+def test_batched_boundary_determinants_match_scalar(point):
+    k, lams = point
+    batched = np.linalg.det(spectral._boundary_matrices(k, lams))
+    scalar = np.array([np.linalg.det(spectral._boundary_matrix(k, lam))
+                       for lam in lams])
+    assert np.array_equal(np.sign(batched), np.sign(scalar))
+    assert np.abs(batched - scalar).max() <= 1e-14
+
+
+def test_bracket_roots_match_scalar_scan(monkeypatch):
+    batched = {k: bracket_roots(k, 3000.0) for k in range(1, 11)}
+
+    def scalar_grid(k, lams):
+        return np.array([np.linalg.det(spectral._boundary_matrix(k, lam))
+                         for lam in lams])
+
+    monkeypatch.setattr(spectral, "_dispersion_grid", scalar_grid)
+    for k in range(1, 11):
+        assert batched[k] == bracket_roots(k, 3000.0)
 
 
 def test_refine_root_matches_oracle():
