@@ -16,7 +16,6 @@ from .control import (
     RunReport,
     Stage,
     StageRecord,
-    advance,
     advance_window,
     cost_and_constant_fit,
     fit_telescoping_constant,

@@ -31,24 +31,17 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_csv(path, header_cols, rows, preamble=()):
     lines = [f"# {line}" for line in preamble]
     lines.append(",".join(header_cols))
     for row in rows:
         lines.append(",".join(str(v) if isinstance(v, (str, int)) else _fmt(v)
                               for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    hb.atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, obj):
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    hb.atomic_write(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def _write_table(out, name, cfg, header_cols, rows, preamble=()):

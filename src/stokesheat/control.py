@@ -188,14 +188,6 @@ def advance_window(state, segment, gramian):
     return StateVector(basis, free - forced)
 
 
-def advance(state, segment, stage, gramian):
-    """Propagate a state across one full stage: passive decay, then window."""
-    mid = semigroup(state, stage.passive)
-    if segment is None:
-        return semigroup(mid, stage.window)
-    return advance_window(mid, segment, gramian)
-
-
 def _window_time_nodes(window, lam_max):
     """Composite Gauss rule on [0, window], dyadically graded toward both
     endpoints to resolve the exp(-lam t) boundary layers."""
@@ -386,8 +378,7 @@ class ObservabilityConstant:
     direction: np.ndarray
 
 
-def obs_constant(basis, lam_cap, t_horizon, region, gramian=None,
-                 defect_threshold=1e-13):
+def obs_constant(basis, lam_cap, t_horizon, region, defect_threshold=1e-13):
     """Sharp finite-cutoff observability constant over the horizon.
 
     C_obs maximizes |exp(-T A) z|^2 / int_0^T |B* exp(-t A) z|^2 over the
@@ -397,8 +388,7 @@ def obs_constant(basis, lam_cap, t_horizon, region, gramian=None,
     cancellation-free velocity samples, QR-compressed), and the symmetric
     reduction becomes the largest singular value of diag(exp(-lam T)) R^-1;
     this resolves constants across twice the dynamic range a dense
-    eigensolve of the assembled O could.  ``gramian`` is accepted for
-    interface symmetry but the factor is built from the region directly.
+    eigensolve of the assembled O could.
 
     Raises ObservabilityDefectError, carrying the least visible coefficient
     direction, when O is singular below ``defect_threshold`` (relative

@@ -8,7 +8,9 @@ M[j, l] = integral over the observation rectangle of u_j . u_l, assembled
 with closed-form x1 integrals and Gauss-Legendre quadrature in x2.
 """
 
+import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -24,6 +26,7 @@ from .quadrature import (
     GAUSS_NODES_X2,
     SIN,
     gauss_legendre,
+    trig_eval,
     trig_pair_matrix,
 )
 from .spectral import (
@@ -35,8 +38,6 @@ from .spectral import (
     StreamProfile,
     TWO_PI,
     ZeroModeProfile,
-    mode_profile,
-    mode_x1_trig,
 )
 
 
@@ -136,31 +137,14 @@ def basis_state(basis, j):
     return StateVector(basis, a)
 
 
-def _field_tables(basis, x2_nodes, deriv=0):
-    """Per-mode x1 trig descriptors and x2 profile values for u1 and u2."""
-    n = len(basis)
-    kinds = np.empty((2, n), dtype=int)
-    waves = np.empty((2, n))
-    vals = np.empty((2, n, len(x2_nodes)))
-    for j, mode in enumerate(basis.modes):
-        for c, comp in enumerate(("u1", "u2")):
-            kind, wav = mode_x1_trig(mode, comp)
-            kinds[c, j] = kind
-            waves[c, j] = wav
-            vals[c, j] = mode_profile(mode, x2_nodes, comp, deriv=deriv)
-    return kinds, waves, vals
-
-
 def obs_gramian(basis, region):
     """Velocity observation Gramian M[j, l] = int_omega u_j . u_l dx."""
     x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)
-    kinds, waves, vals = _field_tables(basis, x2)
-    a1, b1 = region.x1
+    tab = basis.table
     m = np.zeros((len(basis), len(basis)))
-    for c in range(2):
-        x1_ints = trig_pair_matrix(kinds[c], waves[c], a1, b1)
-        x2_ints = (vals[c] * w2) @ vals[c].T
-        m += x1_ints * x2_ints
+    for comp in ("u1", "u2"):
+        vals = tab.profiles(x2, comp)
+        m += trig_pair_matrix(*tab.x1_trig(comp), *region.x1) * ((vals * w2) @ vals.T)
     m = 0.5 * (m + m.T)
     m.setflags(write=False)
     return ModalGramian(basis_id=basis.basis_id, region=region, matrix=m)
@@ -176,43 +160,29 @@ def sampled_velocity_factor(basis, indices, region, nodes_x1=None):
     eigendecomposition of the assembled Gramian can see, which is what the
     spectral-inequality and observability solvers need.
     """
-    import math as _math
-
-    from .quadrature import trig_eval
-
+    idx = np.asarray(indices, dtype=int)
+    tab = basis.table
     a1, b1 = region.x1
     if nodes_x1 is None:
-        k_max = max((basis.modes[j].k for j in indices), default=1)
-        nodes_x1 = max(64, int(_math.ceil(0.75 * k_max * (b1 - a1))) + 32)
+        nodes_x1 = max(64, math.ceil(0.75 * tab.k[idx].max(initial=1) * (b1 - a1)) + 32)
     x1, w1 = gauss_legendre(nodes_x1, a1, b1)
     x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)
     sqw = np.sqrt(np.outer(w1, w2))
     rows = []
     for comp in ("u1", "u2"):
-        tab = np.empty((len(indices), nodes_x1, GAUSS_NODES_X2))
-        for col, j in enumerate(indices):
-            mode = basis.modes[j]
-            kind, wav = mode_x1_trig(mode, comp)
-            tab[col] = np.outer(trig_eval(kind, wav, x1),
-                                mode_profile(mode, x2, comp))
-        tab *= sqw[None, :, :]
-        rows.append(tab.reshape(len(indices), -1).T)
+        kinds, waves = tab.x1_trig(comp)
+        trig = trig_eval(kinds[idx, None], waves[idx, None], x1)
+        samples = trig[:, :, None] * tab.profiles(x2, comp)[idx, None, :]
+        samples *= sqw[None, :, :]
+        rows.append(samples.reshape(len(idx), -1).T)
     return np.linalg.qr(np.vstack(rows), mode="r")
 
 
 def trace_gramian(basis):
     """Closed-form boundary-trace Gramian N[j, l] = int_I eta_j eta_l dx1."""
-    n = len(basis)
-    kinds = np.empty(n, dtype=int)
-    waves = np.empty(n)
-    amps = np.empty(n)
-    for j, mode in enumerate(basis.modes):
-        kind, wav = mode_x1_trig(mode, "u2")
-        kinds[j] = kind
-        waves[j] = wav
-        amps[j] = mode.eta_trace
-    x1_ints = trig_pair_matrix(kinds, waves, 0.0, TWO_PI)
-    mat = np.outer(amps, amps) * x1_ints
+    tab = basis.table
+    x1_ints = trig_pair_matrix(*tab.x1_trig("eta"), 0.0, TWO_PI)
+    mat = np.outer(tab.eta_trace, tab.eta_trace) * x1_ints
     return 0.5 * (mat + mat.T)
 
 
@@ -225,35 +195,23 @@ def rayleigh_matrix(basis):
     the orthonormality check.
     """
     x2, w2 = gauss_legendre(GAUSS_NODES_X2, 0.0, 1.0)
-    n = len(basis)
-    total = np.zeros((n, n))
-    for comp in ("u1", "u2"):
-        kinds = np.empty(n, dtype=int)
-        waves = np.empty(n)
-        v0 = np.empty((n, len(x2)))
-        v1 = np.empty((n, len(x2)))
-        for j, mode in enumerate(basis.modes):
-            kinds[j], waves[j] = mode_x1_trig(mode, comp)
-            v0[j] = mode_profile(mode, x2, comp)
-            v1[j] = mode_profile(mode, x2, comp, deriv=1)
+    tab = basis.table
+    total = np.zeros((len(basis), len(basis)))
+    for comp in ("u1", "u2", "eta"):
+        kinds, waves = tab.x1_trig(comp)
         # d/dx1 of sin(kx) is +k cos(kx); of cos(kx) is -k sin(kx)
         dkinds = np.where(kinds == SIN, COS, SIN)
         dsign = np.where(kinds == SIN, 1.0, -1.0) * waves
-        x1_plain = trig_pair_matrix(kinds, waves, 0.0, TWO_PI)
         x1_deriv = trig_pair_matrix(dkinds, waves, 0.0, TWO_PI)
-        v0s = v0 * dsign[:, None]
+        if comp == "eta":
+            deta = tab.eta_trace * dsign
+            total += x1_deriv * np.outer(deta, deta)
+            continue
+        v0s = tab.profiles(x2, comp) * dsign[:, None]
+        v1 = tab.profiles(x2, comp, deriv=1)
         total += x1_deriv * ((v0s * w2) @ v0s.T)      # d/dx1 part
-        total += x1_plain * ((v1 * w2) @ v1.T)        # d/dx2 part
-    kinds = np.empty(n, dtype=int)
-    waves = np.empty(n)
-    amps = np.empty(n)
-    for j, mode in enumerate(basis.modes):
-        kinds[j], waves[j] = mode_x1_trig(mode, "u2")
-        amps[j] = mode.eta_trace
-    dkinds = np.where(kinds == SIN, COS, SIN)
-    dsign = np.where(kinds == SIN, 1.0, -1.0) * waves
-    x1_deriv = trig_pair_matrix(dkinds, waves, 0.0, TWO_PI)
-    total += x1_deriv * np.outer(amps * dsign, amps * dsign)
+        total += (trig_pair_matrix(kinds, waves, 0.0, TWO_PI)
+                  * ((v1 * w2) @ v1.T))               # d/dx2 part
     return -0.5 * (total + total.T)
 
 
@@ -324,13 +282,24 @@ def basis_document(basis):
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+def atomic_write(path, text):
+    """Write ``text`` to ``path`` as UTF-8 with untranslated newlines, through
+    a temporary file and ``os.replace``; the temporary file is removed if
+    either step fails."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_basis(basis, path):
     """Write the basis cache atomically; floats round-trip losslessly."""
-    text = basis_document(basis)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    atomic_write(path, basis_document(basis))
 
 
 def load_basis(path):

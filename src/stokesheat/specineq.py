@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fitting import linear_fit
-from .hilbert import check_gramian, obs_gramian, sampled_velocity_factor
-from .quadrature import GAUSS_NODES_X2, gauss_legendre, trig_eval
-from .spectral import mode_profile, mode_x1_trig
+from .hilbert import obs_gramian, sampled_velocity_factor
+from .quadrature import (COS, GAUSS_NODES_X2, gauss_legendre, trig_eval,
+                         trig_pair_integral)
 
 _QUAD_MAX_LEVEL = 9
 
@@ -149,18 +149,16 @@ def cosh_pair_weights(kernel, sqrt_lams, rtol=1e-10):
     return 0.5 * (c + c.T)
 
 
-def weighted_gramian(basis, lam_cap, region, kernel, rtol=1e-10, gramian=None):
-    """Kernel-weighted observation Gramian K on the modes with lam <= lam_cap."""
+def weighted_gramian(basis, lam_cap, region, kernel, rtol=1e-10):
+    """Dense kernel-weighted observation Gramian K on the modes with lam <=
+    lam_cap: the small-cutoff reference for :func:`mineig_weighted_gramian`."""
     if lam_cap > basis.cutoff:
         raise InvalidArgumentError(
             f"lam_cap {lam_cap!r} exceeds the basis cutoff {basis.cutoff!r}")
     idx = basis.low_indices(lam_cap)
     if len(idx) == 0:
         return np.zeros((0, 0))
-    if gramian is None:
-        gramian = obs_gramian(basis, region)
-    check_gramian(basis, gramian)
-    m_sub = gramian.matrix[np.ix_(idx, idx)]
+    m_sub = obs_gramian(basis, region).matrix[np.ix_(idx, idx)]
     c = cosh_pair_weights(kernel, np.sqrt(basis.lambdas[idx]), rtol=rtol)
     return m_sub * c
 
@@ -216,12 +214,11 @@ def spec_ineq_report(basis, lam_list, region, kernel, rtol=1e-10):
 
     The fit regresses -log(min_eig) on sqrt(Lambda); the slope estimates the
     constant C in the exp(C sqrt(Lambda)) observability degradation.  A
-    cutoff is flagged as a violation when its minimum eigenvalue is negative
-    beyond rounding (the inequality guarantees positivity, so a flag points
-    at a quadrature or basis defect).
+    cutoff is flagged as a violation when its minimum eigenvalue is not
+    positive (the inequality guarantees positivity and the factor SVD
+    resolves it, so a flag points at a quadrature or basis defect).
     """
     lam_list = [float(v) for v in lam_list]
-    gram = obs_gramian(basis, region)
     records = []
     for lam_cap in lam_list:
         idx = basis.low_indices(lam_cap)
@@ -231,17 +228,14 @@ def spec_ineq_report(basis, lam_list, region, kernel, rtol=1e-10):
                                           implied_constant=float("nan"),
                                           violation=False))
             continue
-        k = weighted_gramian(basis, lam_cap, region, kernel, rtol=rtol,
-                             gramian=gram)
         min_eig = mineig_weighted_gramian(basis, lam_cap, region, kernel,
                                           rtol=rtol)
-        violation = min_eig <= -1e-10 * float(np.trace(k))
         implied = (-math.log(min_eig) / math.sqrt(lam_cap)
                    if min_eig > 0 else float("nan"))
         records.append(SpectralRecord(lam_cutoff=lam_cap, dim=len(idx),
                                       min_eig=min_eig,
                                       implied_constant=implied,
-                                      violation=violation))
+                                      violation=not min_eig > 0))
     usable = [r for r in records if r.dim > 0 and r.min_eig > 0]
     if len(usable) < 3:
         raise InvalidArgumentError(
@@ -279,17 +273,11 @@ class AugmentedField:
 
 def _region_pressure_means(basis, idx, region):
     """Per-mode mean of the pressure over the region (closed x1 form)."""
-    from .quadrature import trig_pair_integral, COS
-
-    a1, b1 = region.x1
+    tab = basis.table
+    kinds, waves = tab.x1_trig("p")
+    x1_ints = trig_pair_integral(kinds[idx], waves[idx], COS, 0.0, *region.x1)
     x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)
-    means = np.zeros(len(idx))
-    for col, j in enumerate(idx):
-        mode = basis.modes[j]
-        kind, wav = mode_x1_trig(mode, "p")
-        x1_int = float(trig_pair_integral(kind, wav, COS, 0.0, a1, b1))
-        means[col] = x1_int * float(np.dot(w2, mode_profile(mode, x2, "p")))
-    return means / region.area
+    return x1_ints * (tab.profiles(x2, "p")[idx] @ w2) / region.area
 
 
 def augmented_field(basis, coeffs, lam_cap, s_grid, region=None):
@@ -311,20 +299,35 @@ def augmented_field(basis, coeffs, lam_cap, s_grid, region=None):
         means = np.zeros(len(idx))
     else:
         means = _region_pressure_means(basis, idx, region)
-    cosh_tab = np.cosh(np.outer(s_grid, np.sqrt(basis.lambdas[idx])))
-    gauge = -(cosh_tab * a[idx][None, :]) @ means
     return AugmentedField(basis=basis, coeffs=a, lam_cap=lam_cap,
-                          s_grid=s_grid, region=region,
-                          mean_pressures=means, gauge_samples=gauge)
+                          s_grid=s_grid, region=region, mean_pressures=means,
+                          gauge_samples=_gauge(basis, a, lam_cap, means, s_grid))
 
 
-def _s_weight(lam, s, ds):
-    """d^ds/ds^ds of cosh(sqrt(lam) s)."""
-    q = math.sqrt(lam)
-    s = np.asarray(s, dtype=float)
-    if ds % 2 == 0:
-        return q ** ds * np.cosh(q * s)
-    return q ** ds * np.sinh(q * s)
+def _gauge(basis, coeffs, lam_cap, means, s):
+    """Gauge c_P(s) of :class:`AugmentedField`, summed like :func:`_modal_sum`
+    over the modes with a coefficient; ``means`` covers lam <= lam_cap."""
+    idx = basis.low_indices(lam_cap)
+    on = coeffs[idx] != 0.0
+    cosh_tab = np.cosh(np.outer(s, np.sqrt(basis.lambdas[idx[on]])))
+    return -(cosh_tab * coeffs[idx[on]]) @ means[on]
+
+
+def _modal_sum(field, s, x1, x2, component, ds=0, dx1=0, dx2=0):
+    """:func:`field_values` without the pressure gauge, on 1-d grids.  Only
+    modes with a nonzero coefficient enter, so a cosh that overflows on a
+    mode the field does not carry cannot turn the sum into NaN."""
+    tab = field.basis.table
+    idx = field.basis.low_indices(field.lam_cap)
+    sel = idx[field.coeffs[idx] != 0.0]
+    q = np.sqrt(tab.lam[sel])
+    s_weights = (np.cosh if ds % 2 == 0 else np.sinh)(np.outer(s, q)) * q ** ds
+    kinds, waves = tab.x1_trig(component)
+    trig = trig_eval(kinds[sel, None], waves[sel, None], x1, deriv=dx1)
+    prof = tab.profiles(x2, component, deriv=dx2)[sel]
+    modes = (trig[:, :, None] * prof[:, None, :]).reshape(len(sel), len(x1) * len(x2))
+    out = (s_weights * field.coeffs[sel]) @ modes
+    return out.reshape(len(s), len(x1), len(x2))
 
 
 def field_values(field, s, x1, x2, component, ds=0, dx1=0, dx2=0):
@@ -333,26 +336,11 @@ def field_values(field, s, x1, x2, component, ds=0, dx1=0, dx2=0):
     ``component`` is "u1", "u2" or "p"; the pressure gauge contributes only
     at ds = dx1 = dx2 = 0 and is included there.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    basis = field.basis
-    idx = basis.low_indices(field.lam_cap)
-    out = np.zeros((len(s), len(x1), len(x2)))
-    for col, j in enumerate(idx):
-        aj = field.coeffs[j]
-        if aj == 0.0:
-            continue
-        mode = basis.modes[j]
-        kind, wav = mode_x1_trig(mode, component)
-        sw = _s_weight(mode.lam, s, ds)
-        t = trig_eval(kind, wav, x1, deriv=dx1)
-        prof = mode_profile(mode, x2, component, deriv=dx2)
-        out += aj * sw[:, None, None] * t[None, :, None] * prof[None, None, :]
+    s, x1, x2 = (np.atleast_1d(np.asarray(g, dtype=float)) for g in (s, x1, x2))
+    out = _modal_sum(field, s, x1, x2, component, ds, dx1, dx2)
     if component == "p" and ds == 0 and dx1 == 0 and dx2 == 0:
-        cosh_tab = np.cosh(np.outer(s, np.sqrt(basis.lambdas[idx])))
-        gauge = -(cosh_tab * field.coeffs[idx][None, :]) @ field.mean_pressures
-        out += gauge[:, None, None]
+        out += _gauge(field.basis, field.coeffs, field.lam_cap,
+                      field.mean_pressures, s)[:, None, None]
     return out
 
 
@@ -387,31 +375,14 @@ def residual_augmented(field, sample_grid):
     top = np.array([1.0])
     # gauge-free boundary pressure: P - m_I(P) has no k = 0 content, so the
     # modal sum without the gauge term is exactly it
-    p_top = np.zeros((len(s), len(x1), 1))
-    idx = field.basis.low_indices(field.lam_cap)
-    for j in idx:
-        aj = field.coeffs[j]
-        if aj == 0.0:
-            continue
-        mode = field.basis.modes[j]
-        kind, wav = mode_x1_trig(mode, "p")
-        p_top += (aj * _s_weight(mode.lam, s, 0)[:, None, None]
-                  * trig_eval(kind, wav, x1)[None, :, None]
-                  * mode_profile(mode, top, "p")[None, None, :])
+    p_top = _modal_sum(field, s, x1, top, "p")
     r_top = (-field_values(field, s, x1, top, "u2", ds=2)
              - field_values(field, s, x1, top, "u2", dx1=2)
              - p_top)
 
     scale = max(np.abs(u1).max(), np.abs(u2).max(), np.abs(p_top).max())
-    if scale == 0.0:
-        zero = {name: 0.0 for name in
-                ("momentum_x1", "momentum_x2", "divergence", "ventcel",
-                 "pressure_laplace")}
-        return zero
-    return {
-        "momentum_x1": float(np.abs(r_mom1).max() / scale),
-        "momentum_x2": float(np.abs(r_mom2).max() / scale),
-        "divergence": float(np.abs(r_div).max() / scale),
-        "ventcel": float(np.abs(r_top).max() / scale),
-        "pressure_laplace": float(np.abs(r_lap_p).max() / scale),
-    }
+    residuals = {"momentum_x1": r_mom1, "momentum_x2": r_mom2,
+                 "divergence": r_div, "ventcel": r_top,
+                 "pressure_laplace": r_lap_p}
+    return {name: float(np.abs(r).max() / scale) if scale != 0.0 else 0.0
+            for name, r in residuals.items()}

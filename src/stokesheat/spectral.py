@@ -33,6 +33,7 @@ for k beyond ~18 the cosh/sinh representation loses all precision to
 cancellation when the profile is evaluated near x2 = 1.
 """
 
+import functools
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -50,7 +51,7 @@ from .errors import (
     MultiplicityError,
     NotAnEigenvalueError,
 )
-from .quadrature import COS, SIN, GAUSS_NODES_X2, gauss_legendre
+from .quadrature import COS, SIN, GAUSS_NODES_X2, gauss_legendre, trig_eval
 
 TWO_PI = 2.0 * np.pi
 
@@ -125,26 +126,23 @@ class EigenBasis:
     def __len__(self):
         return len(self.modes)
 
-    @property
-    def lambdas(self):
-        lams = getattr(self, "_lambdas", None)
-        if lams is None:
-            lams = np.array([m.lam for m in self.modes])
-            self._lambdas = lams
-        return lams
+    @functools.cached_property
+    def table(self):
+        """The modes as a :class:`ModeTable`, built on first use."""
+        return ModeTable(self.modes)
 
     @property
+    def lambdas(self):
+        return self.table.lam
+
+    @functools.cached_property
     def basis_id(self):
-        bid = getattr(self, "_basis_id", None)
-        if bid is None:
-            h = hashlib.sha256()
-            h.update(repr((self.cutoff, self.k_range)).encode())
-            for m in self.modes:
-                h.update(repr((m.k, m.n, m.lam, m.phase, m.eta_trace,
-                               m.profile)).encode())
-            bid = h.hexdigest()
-            self._basis_id = bid
-        return bid
+        h = hashlib.sha256()
+        h.update(repr((self.cutoff, self.k_range)).encode())
+        for m in self.modes:
+            h.update(repr((m.k, m.n, m.lam, m.phase, m.eta_trace,
+                           m.profile)).encode())
+        return h.hexdigest()
 
     def low_indices(self, lam_cap):
         return np.nonzero(self.lambdas <= lam_cap)[0]
@@ -206,34 +204,46 @@ def dispersion(k, lam):
     return float(np.linalg.det(_boundary_matrix(k, lam)))
 
 
+def _powers(values, deriv):
+    """``values ** deriv`` on Python floats (C ``pow``), which numpy's power
+    may round differently in the last bit; powers 0 and 1 are exact."""
+    values = np.asarray(values, dtype=float)
+    if deriv <= 1:
+        return values if deriv == 1 else np.ones(values.shape)
+    return np.array([v ** deriv for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def _fundamental_rows(k, s, oscillatory, x, deriv):
+    """:func:`_fundamental` bit for bit at many (k, lam) of one branch, shape
+    (len(s), 4, len(x)): row i has branch root ``s[i]`` = sqrt(|lam - k**2|)
+    and integer wavenumber ``k[i]``, or ``k[0]`` if ``k`` has one entry."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    kk, s_col = np.asarray(k, dtype=float)[:, None], s[:, None]
+    rows = np.empty((len(s), 4, len(x)))
+    rows[:, 0] = _powers(-kk, deriv) * np.exp(-kk * x)
+    rows[:, 1] = _powers(kk, deriv) * np.exp(kk * (x - 1.0))
+    s_pow = _powers(s_col, deriv)
+    if oscillatory:
+        rows[:, 2] = s_pow * np.cos(s_col * x + deriv * 0.5 * np.pi)
+        rows[:, 3] = s_pow * np.sin(s_col * x + deriv * 0.5 * np.pi)
+    else:
+        rows[:, 2] = _powers(-s_col, deriv) * np.exp(-s_col * x)
+        rows[:, 3] = s_pow * np.exp(s_col * (x - 1.0))
+    return rows
+
+
 def _boundary_matrices(k, lams):
     """Stack of ``_boundary_matrix(k, lam)`` over an array of lams, (N,4,4).
 
     Every lam must lie on the same side of k**2 (one branch); the entries
     repeat the scalar builder's arithmetic elementwise, so the scan sees the
-    same determinants bit for bit.  Powers stay on Python's float ``**``
-    (C ``pow``) because numpy's vectorized power may round the last bit
-    differently.
+    same determinants bit for bit.
     """
     lams = np.asarray(lams, dtype=float)
-    kk = float(k)
-    oscillatory = lams[0] > kk * kk
-    s = np.sqrt(lams - kk * kk if oscillatory else kk * kk - lams)
-    s_list = s.tolist()
+    s = np.sqrt(np.abs(lams - float(k) * float(k)))
 
     def fund(x, deriv):
-        x = np.asarray(x, dtype=float)
-        rows = np.empty((len(lams), 4))
-        rows[:, 0] = (-kk) ** deriv * np.exp(-kk * x)
-        rows[:, 1] = kk ** deriv * np.exp(kk * (x - 1.0))
-        s_pow = np.array([v ** deriv for v in s_list])
-        if oscillatory:
-            rows[:, 2] = s_pow * np.cos(s * x + deriv * 0.5 * np.pi)
-            rows[:, 3] = s_pow * np.sin(s * x + deriv * 0.5 * np.pi)
-        else:
-            rows[:, 2] = np.array([(-v) ** deriv for v in s_list]) * np.exp(-s * x)
-            rows[:, 3] = s_pow * np.exp(s * (x - 1.0))
-        return rows
+        return _fundamental_rows([k], s, lams[0] > k * k, x, deriv)[:, :, 0]
 
     mats = np.empty((len(lams), 4, 4))
     mats[:, 0] = fund(0.0, 0)
@@ -404,6 +414,74 @@ def mode_profile(mode, x2, component, deriv=0):
     raise InvalidArgumentError(f"unknown component {component!r}")
 
 
+class ModeTable:
+    """The modes of a basis as read-only arrays, evaluated all at once.
+
+    Row j holds ``modes[j]``'s k, n, lam, phase (``sine``), branch
+    (``oscillatory``: lam > k**2), stream ``c`` and ``norm_factor``, k = 0
+    ``amplitude`` and ``eta_trace`` (zero where a field does not apply).
+    Every row is bit-identical to :func:`mode_x1_trig` / :func:`mode_profile`.
+    """
+
+    def __init__(self, modes):
+        def col(get, dtype=float):
+            arr = np.array([get(m) for m in modes], dtype=dtype)
+            arr.setflags(write=False)
+            return arr
+
+        self.k = col(lambda m: m.k, int)
+        self.n = col(lambda m: m.n, int)
+        self.lam = col(lambda m: m.lam)
+        self.sine = col(lambda m: m.phase == SINE, bool)
+        self.oscillatory = col(lambda m: m.lam > m.k * m.k, bool)
+        self.c = col(lambda m: getattr(m.profile, "c", (0.0,) * 4)).reshape(-1, 4)
+        self.norm_factor = col(lambda m: getattr(m.profile, "norm_factor", 0.0))
+        self.amplitude = col(lambda m: getattr(m.profile, "amplitude", 0.0))
+        self.eta_trace = col(lambda m: m.eta_trace)
+
+    def x1_trig(self, component):
+        """(kinds, waves) of every mode's x1 factor, as :func:`mode_x1_trig`."""
+        cos_phase = self.sine if component == "u1" else ~self.sine
+        return np.where(cos_phase | (self.k == 0), COS, SIN), self.k.astype(float)
+
+    def _stream(self, x2, deriv):
+        """:func:`stream_eval` of the k >= 1 rows."""
+        st = self.k > 0
+        k, lam, osc = self.k[st], self.lam[st], self.oscillatory[st]
+        s = np.sqrt(np.abs(lam - k.astype(float) * k))
+        rows = np.empty((len(k), 4, len(x2)))
+        for oscillatory in (True, False):
+            on = osc == oscillatory
+            rows[on] = _fundamental_rows(k[on], s[on], oscillatory, x2, deriv)
+        # the stacked matmul reproduces the per-mode tensordot bit for bit,
+        # einsum does not
+        vals = np.matmul(self.c[st][:, None, :], rows)[:, 0, :]
+        return vals * self.norm_factor[st][:, None]
+
+    def profiles(self, x2, component, deriv=0):
+        """x2 factors of ``component`` for every mode at the points ``x2``,
+        shape (n_modes, len(x2)); row j is ``mode_profile(modes[j], ...)``."""
+        x2 = np.atleast_1d(np.asarray(x2, dtype=float))
+        out = np.zeros((len(self.k), len(x2)))
+        zero, st = self.k == 0, self.k > 0
+        k = self.k[st]
+        if component == "u1":
+            npi = self.n[zero] * np.pi
+            out[zero] = ((self.amplitude[zero] * _powers(npi, deriv))[:, None]
+                         * np.sin(npi[:, None] * x2 + deriv * 0.5 * np.pi))
+            sign = np.where(self.sine[st], 1.0, -1.0) / k
+            out[st] = sign[:, None] * self._stream(x2, deriv + 1)
+        elif component == "u2":
+            out[st] = self._stream(x2, deriv)
+        elif component == "p":
+            out[st] = ((self._stream(x2, deriv + 3)
+                        + (self.lam[st] - k * k)[:, None] * self._stream(x2, deriv + 1))
+                       / (k * k)[:, None])
+        else:
+            raise InvalidArgumentError(f"unknown component {component!r}")
+        return out
+
+
 def eval_mode(mode, x1, x2):
     """Pointwise field values (u1, u2, p, eta) of a mode.
 
@@ -416,8 +494,6 @@ def eval_mode(mode, x1, x2):
         raise InvalidArgumentError("x1 must lie in [0, 2*pi)")
     if np.any(x2 < 0) or np.any(x2 > 1):
         raise InvalidArgumentError("x2 must lie in [0, 1]")
-    from .quadrature import trig_eval
-
     t1 = trig_eval(*mode_x1_trig(mode, "u1"), x1)
     t2 = trig_eval(*mode_x1_trig(mode, "u2"), x1)
     u1 = mode_profile(mode, x2, "u1") * t1
@@ -499,8 +575,6 @@ def boundary_residuals(mode, n_samples=20):
     x1 = np.linspace(0.0, TWO_PI, n_samples, endpoint=False)
     x2 = np.linspace(0.0, 1.0, n_samples)
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    from .quadrature import trig_eval
-
     lam = mode.lam
     t1k, t1w = mode_x1_trig(mode, "u1")
     t2k, t2w = mode_x1_trig(mode, "u2")

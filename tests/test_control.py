@@ -5,11 +5,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from stokesheat import (
+    ControlSegment,
     EigenBasis,
     InvalidArgumentError,
     ObservabilityDefectError,
     StateVector,
-    advance,
     advance_window,
     cost_and_constant_fit,
     make_schedule,
@@ -163,7 +163,9 @@ def test_advance_zero_control_is_semigroup(basis60, region_half, rng):
     sched = make_schedule(1.0, 1.5, 0.5, 30.0)
     stage = sched.stages[0]
     state = unit_mix(basis60, rng, len(basis60))
-    out = advance(state, None, stage, gram)
+    empty = ControlSegment(t0=stage.passive, t1=stage.tau,
+                           indices=np.zeros(0, dtype=int), amplitudes=np.zeros(0))
+    out = advance_window(semigroup(state, stage.passive), empty, gram)
     ref = semigroup(state, stage.tau)
     assert np.abs(out.coeffs - ref.coeffs).max() <= 1e-15
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -261,6 +262,26 @@ def test_save_load_roundtrip(tmp_path, basis60):
     assert loaded.basis_id == basis60.basis_id
     m = obs_gramian(loaded, FULL_REGION).matrix + trace_gramian(loaded)
     assert np.abs(m - np.eye(len(loaded))).max() <= 1e-8
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path, monkeypatch,
+                                                  basis60):
+    from stokesheat import cli
+
+    # a lone surrogate cannot be encoded, so the write itself fails
+    with pytest.raises(UnicodeEncodeError):
+        hilbert.atomic_write(str(tmp_path / "bad.txt"), "ok \ud800")
+    assert list(tmp_path.iterdir()) == []
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        save_basis(basis60, str(tmp_path / "basis.json"))
+    with pytest.raises(OSError, match="replace failed"):
+        cli._write_json(str(tmp_path / "report.json"), {"a": 1})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_truncated_file(tmp_path, basis60):

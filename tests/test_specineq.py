@@ -154,6 +154,19 @@ def test_report_needs_three_cutoffs(basis60, region_small, kernel):
         spec_ineq_report(basis60, [10.0, 20.0], region_small, kernel)
 
 
+def test_nonpositive_min_eig_is_flagged(monkeypatch, basis120, region_small,
+                                        kernel):
+    real = specineq.mineig_weighted_gramian
+
+    def zero_at_50(basis, lam_cap, *args, **kwargs):
+        return 0.0 if lam_cap == 50.0 else real(basis, lam_cap, *args, **kwargs)
+
+    monkeypatch.setattr(specineq, "mineig_weighted_gramian", zero_at_50)
+    report = spec_ineq_report(basis120, [25.0, 50.0, 75.0, 100.0],
+                              region_small, kernel)
+    assert [r.lam_cutoff for r in report.violations] == [50.0]
+
+
 def test_augmented_field_unit_coefficient(basis60, region_half):
     j = 2
     a = np.zeros(len(basis60))
