@@ -7,6 +7,7 @@ produce byte-identical outputs regardless of the thread count.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from . import control as ct
 from . import hilbert as hb
 from . import specineq as si
 from . import spectral as sc
-from .config import config_dict, load_config
+from .config import add_flags, flag_overrides, load_config
 from .errors import (
     BasisFormatError,
     ConfigError,
@@ -63,25 +64,25 @@ def _stderr(msg):
 
 
 def _region(cfg):
-    return hb.ObservationRegion(x1=tuple(cfg.region.x1), x2=tuple(cfg.region.x2))
-
-
-def _kernel(cfg):
-    return si.Kernel(s0=cfg.kernel.s0, support=tuple(cfg.kernel.support))
+    return hb.ObservationRegion(cfg.region.x1, cfg.region.x2)
 
 
 def _get_basis(cfg, log):
-    """Build the eigenbasis, or reload it from the cache when compatible."""
+    """Build the eigenbasis, or reload a cache built with the same settings."""
     cache = cfg.io.cache_path
     want = cfg.basis
     if cache and os.path.exists(cache):
         try:
             basis = hb.load_basis(cache)
-            if basis.cutoff == want.lambda_max:
+            settings = dict(lambda_max=want.lambda_max, k_max=want.k_max,
+                            scan_density=want.density, refine_tol=want.refine_tol)
+            stale = [f"{key} {basis.metadata.get(key)!r}, want {value!r}"
+                     for key, value in settings.items()
+                     if value is not None and basis.metadata.get(key) != value]
+            if not stale:
                 log(f"loaded basis from cache {cache}")
                 return basis
-            log(f"cache {cache} has cutoff {basis.cutoff}, want "
-                f"{want.lambda_max}; rebuilding")
+            log(f"cache {cache} has {'; '.join(stale)}; rebuilding")
         except BasisFormatError as exc:
             log(f"warning: {exc}; rebuilding")
     basis = sc.assemble_basis(want.lambda_max, k_max=want.k_max,
@@ -121,7 +122,7 @@ def cmd_specineq(cfg, out):
         raise ConfigError("sweeps.lambda_list exceeds basis.lambda_max")
     basis = _get_basis(cfg, _stderr)
     report = si.spec_ineq_report(basis, cfg.sweeps.lambda_list, _region(cfg),
-                                 _kernel(cfg))
+                                 si.Kernel(cfg.kernel.s0, cfg.kernel.support))
     rows = [(r.lam_cutoff, r.dim, r.min_eig,
              (np.log(r.min_eig) if r.min_eig > 0 else float("nan")),
              np.sqrt(r.lam_cutoff))
@@ -135,8 +136,7 @@ def cmd_specineq(cfg, out):
     _write_json(os.path.join(out, "specineq_fit.json"),
                 {"slope": report.slope, "intercept": report.intercept,
                  "r_squared": report.r_squared,
-                 "kernel": {"s0": report.kernel.s0,
-                            "support": list(report.kernel.support)},
+                 "kernel": dataclasses.asdict(report.kernel),
                  "violations": [r.lam_cutoff for r in report.violations]})
     ok = all(r.min_eig > 0 for r in report.records if r.dim > 0)
     print(fit_note)
@@ -290,7 +290,7 @@ def cmd_verify(cfg, out):
         idx = basis.low_indices(40.0)
         lams = basis.lambdas[idx]
         w = 0.2
-        g = ct.stage_gramian(basis, 40.0, region, w, gramian=gram)
+        g = ct.stage_gramian(basis, 40.0, gram, w)
         ts = np.linspace(0, w, 4001)
         dec = np.exp(-np.outer(lams, ts))
         e_ref = np.einsum("it,jt->ij", dec, dec) * (ts[1] - ts[0])
@@ -349,13 +349,6 @@ _COMMANDS = {
 }
 
 
-def _parse_pair(text, what):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{what} expects 'lo,hi', got {text!r}")
-    return parts
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stokesheat",
@@ -370,73 +363,18 @@ def build_parser():
             ("verify", "run the cross-module invariant suite")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--lambda-max", type=float, dest="lambda_max")
-        p.add_argument("--k-max", type=int, dest="k_max")
-        p.add_argument("--density", type=int)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--t-horizon", type=float, dest="t_horizon")
-        p.add_argument("--lambda-cap", type=float, dest="lambda_cap")
-        p.add_argument("--reg-threshold", type=float, dest="reg_threshold")
-        p.add_argument("--final-tol", type=float, dest="final_tol")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--z0-modes", type=int, dest="z0_modes")
-        p.add_argument("--region", help="x1lo,x1hi,x2lo,x2hi")
-        p.add_argument("--s0", type=float)
-        p.add_argument("--kernel-support", dest="kernel_support", help="lo,hi")
-        p.add_argument("--lambda-list", dest="lambda_list",
-                       help="comma-separated cutoffs")
-        p.add_argument("--t-list", dest="t_list",
-                       help="comma-separated horizons")
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--cache", dest="cache_path")
-        p.add_argument("--format", choices=("csv", "structured"))
-        p.add_argument("--threads", type=int)
+        add_flags(p)
     return parser
-
-
-def _overrides_from_args(args):
-    ov = {
-        "basis.lambda_max": args.lambda_max,
-        "basis.k_max": args.k_max,
-        "basis.density": args.density,
-        "schedule.gamma": args.gamma,
-        "schedule.epsilon": args.epsilon,
-        "schedule.t_horizon": args.t_horizon,
-        "schedule.lambda_cap": args.lambda_cap,
-        "schedule.reg_threshold": args.reg_threshold,
-        "schedule.final_tol": args.final_tol,
-        "schedule.seed": args.seed,
-        "schedule.z0_modes": args.z0_modes,
-        "kernel.s0": args.s0,
-        "io.out_dir": args.out_dir,
-        "io.cache_path": args.cache_path,
-        "io.format": args.format,
-        "threads": args.threads,
-    }
-    if args.region is not None:
-        parts = args.region.split(",")
-        if len(parts) != 4:
-            raise ConfigError("--region expects x1lo,x1hi,x2lo,x2hi")
-        ov["region.x1"] = parts[:2]
-        ov["region.x2"] = parts[2:]
-    if args.kernel_support is not None:
-        ov["kernel.support"] = _parse_pair(args.kernel_support, "--kernel-support")
-    if args.lambda_list is not None:
-        ov["sweeps.lambda_list"] = args.lambda_list.split(",")
-    if args.t_list is not None:
-        ov["sweeps.t_list"] = args.t_list.split(",")
-    return ov
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, _overrides_from_args(args))
+        cfg = load_config(args.config, flag_overrides(args))
         out = cfg.io.out_dir
         os.makedirs(out, exist_ok=True)
-        print("config: " + json.dumps(config_dict(cfg), sort_keys=True))
+        print("config: " + json.dumps(dataclasses.asdict(cfg), sort_keys=True))
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

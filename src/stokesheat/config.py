@@ -1,19 +1,24 @@
 """Run configuration: JSON file parsing, flag overrides, strict validation.
 
+The dataclasses below are the one schema: their annotated fields are the
+file keys, ``FLAGS`` maps command-line flags onto them, and a run echoes
+``dataclasses.asdict`` of the result.
+
 Unknown keys are rejected and every numeric constraint of the underlying
 modules is re-checked here with a field-precise message, so bad runs die at
 parse time with exit code 2 instead of deep inside a solve.
 """
 
+import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ConfigError
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
+FORMATS = ("csv", "structured")
 
 
 @dataclass
@@ -26,14 +31,14 @@ class BasisConfig:
 
 @dataclass
 class RegionConfig:
-    x1: tuple = (0.0, math.pi)
-    x2: tuple = (0.3, 0.7)
+    x1: tuple[float, float] = (0.0, math.pi)
+    x2: tuple[float, float] = (0.3, 0.7)
 
 
 @dataclass
 class KernelConfig:
     s0: float = 1.0
-    support: tuple = None       # defaults to the middle half of (0, s0)
+    support: tuple[float, float] = None  # None: middle half of (0, s0)
 
 
 @dataclass
@@ -50,15 +55,15 @@ class ScheduleConfig:
 
 @dataclass
 class SweepsConfig:
-    lambda_list: tuple = (25.0, 50.0, 100.0, 200.0, 400.0)
-    t_list: tuple = (0.1, 0.2, 0.4, 0.8)
+    lambda_list: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0, 400.0)
+    t_list: tuple[float, ...] = (0.1, 0.2, 0.4, 0.8)
 
 
 @dataclass
 class IoConfig:
     cache_path: str = None
     out_dir: str = "."
-    format: str = "csv"         # csv | structured
+    format: str = "csv"         # one of FORMATS
 
 
 @dataclass
@@ -72,57 +77,66 @@ class RunConfig:
     threads: int = 1
 
 
-_SECTIONS = {
-    "basis": (BasisConfig, {"lambda_max": float, "k_max": int, "density": int,
-                            "refine_tol": float}),
-    "region": (RegionConfig, {"x1": "pair", "x2": "pair"}),
-    "kernel": (KernelConfig, {"s0": float, "support": "pair"}),
-    "schedule": (ScheduleConfig, {"t_horizon": float, "gamma": float,
-                                  "epsilon": float, "lambda_cap": float,
-                                  "reg_threshold": float, "z0_modes": int,
-                                  "seed": int, "final_tol": float}),
-    "sweeps": (SweepsConfig, {"lambda_list": "floats", "t_list": "floats"}),
-    "io": (IoConfig, {"cache_path": str, "out_dir": str, "format": str}),
+# Command-line flag -> dotted config key, in --help order.  "--region" is the
+# one flag that is not a key: it splits x1lo,x1hi,x2lo,x2hi into region.x1 and
+# region.x2, whose pair type rejects any other count.
+FLAGS = {
+    "--lambda-max": "basis.lambda_max", "--k-max": "basis.k_max",
+    "--density": "basis.density",
+    "--gamma": "schedule.gamma", "--epsilon": "schedule.epsilon",
+    "--t-horizon": "schedule.t_horizon", "--lambda-cap": "schedule.lambda_cap",
+    "--reg-threshold": "schedule.reg_threshold",
+    "--final-tol": "schedule.final_tol", "--seed": "schedule.seed",
+    "--z0-modes": "schedule.z0_modes", "--region": "region",
+    "--s0": "kernel.s0", "--kernel-support": "kernel.support",
+    "--lambda-list": "sweeps.lambda_list", "--t-list": "sweeps.t_list",
+    "--out-dir": "io.out_dir", "--cache": "io.cache_path",
+    "--format": "io.format", "--threads": "threads",
 }
 
 
-def _coerce(kind, value, where):
-    try:
-        if kind == "pair":
-            a, b = (float(v) for v in value)
-            return (a, b)
-        if kind == "floats":
-            return tuple(float(v) for v in value)
-        if kind is int:
-            if value is None:
-                return None
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError("not an integer")
-            return int(value)
-        if kind is float:
-            return float(value)
-        if kind is str:
-            return None if value is None else str(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: cannot interpret {value!r}: {exc}") from exc
-    raise ConfigError(f"{where}: unsupported value {value!r}")
+def _schema():
+    """{dotted key: dataclass field} for every key a config may set."""
+    keys = {}
+    for f in dataclasses.fields(RunConfig):
+        if dataclasses.is_dataclass(f.type):
+            keys.update((f"{f.name}.{g.name}", g) for g in dataclasses.fields(f.type))
+        else:
+            keys[f.name] = f
+    return keys
 
 
-def _apply_section(cfg_section, name, data):
-    _, fields = _SECTIONS[name]
-    for key, value in data.items():
-        if key not in fields:
-            raise ConfigError(f"unknown key {name}.{key}")
-        setattr(cfg_section, key, _coerce(fields[key], value, f"{name}.{key}"))
+_KEYS = _schema()
+
+
+def _coerce(kind, value):
+    """``value`` as the annotated type ``kind``; a tuple type also takes a
+    comma-separated string, so flag and file values share this path."""
+    if typing.get_origin(kind) is tuple:
+        parts = value.split(",") if isinstance(value, str) else value
+        items = tuple(_coerce(float, v) for v in parts)
+        arity = typing.get_args(kind)
+        if Ellipsis not in arity and len(items) != len(arity):
+            raise ValueError(f"expected {len(arity)} values")
+        return items
+    if isinstance(value, bool) or (kind is str and not isinstance(value, str)):
+        raise TypeError(f"not a {kind.__name__}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    value = kind(value)
+    if kind is float and not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def load_config(path=None, overrides=None):
     """Build a validated RunConfig from an optional file plus overrides.
 
     ``overrides`` maps dotted keys ("schedule.gamma", "threads") to values
-    and wins over file values.
+    and wins over file values; None values are ignored.
     """
     cfg = RunConfig()
+    flat = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -134,27 +148,49 @@ def load_config(path=None, overrides=None):
         if not isinstance(doc, dict):
             raise ConfigError("config root must be an object")
         for name, data in doc.items():
-            if name == "threads":
-                cfg.threads = _coerce(int, data, "threads")
-                continue
-            if name not in _SECTIONS:
+            if dataclasses.is_dataclass(getattr(cfg, name, None)):
+                if not isinstance(data, dict):
+                    raise ConfigError(f"{name} must be an object")
+                flat.update((f"{name}.{key}", v) for key, v in data.items())
+            elif "." in name:
                 raise ConfigError(f"unknown key {name}")
-            if not isinstance(data, dict):
-                raise ConfigError(f"{name} must be an object")
-            _apply_section(getattr(cfg, name), name, data)
-    for dotted, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if dotted == "threads":
-            cfg.threads = _coerce(int, value, "threads")
-            continue
-        name, _, key = dotted.partition(".")
-        if name not in _SECTIONS or key not in _SECTIONS[name][1]:
+            else:
+                flat[name] = data
+    flat.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    for dotted, value in flat.items():
+        if dotted not in _KEYS:
             raise ConfigError(f"unknown key {dotted}")
-        setattr(getattr(cfg, name), key,
-                _coerce(_SECTIONS[name][1][key], value, dotted))
+        f = _KEYS[dotted]
+        try:
+            # null is a value only where the default is None
+            coerced = (None if value is None and f.default is None
+                       else _coerce(f.type, value))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{dotted}: cannot interpret {value!r}: {exc}") from exc
+        section, _, name = dotted.rpartition(".")
+        setattr(getattr(cfg, section) if section else cfg, name, coerced)
     validate_config(cfg)
     return cfg
+
+
+def add_flags(parser):
+    """Add one option per FLAGS entry, stored under its dotted key."""
+    for flag, key in FLAGS.items():
+        kind = _KEYS[key].type if key in _KEYS else str
+        parser.add_argument(
+            flag, dest=key, type=kind if kind in (int, float) else str,
+            choices=FORMATS if key == "io.format" else None,
+            help="x1lo,x1hi,x2lo,x2hi" if key == "region" else None)
+
+
+def flag_overrides(args):
+    """Dotted-key overrides from the options added by :func:`add_flags`."""
+    ov = {key: getattr(args, key) for key in FLAGS.values()}
+    region = ov.pop("region")
+    if region is not None:
+        parts = region.split(",")
+        ov["region.x1"], ov["region.x2"] = parts[:2], parts[2:]
+    return ov
 
 
 def validate_config(cfg):
@@ -200,32 +236,8 @@ def validate_config(cfg):
         raise ConfigError("sweeps.lambda_list entries must be positive")
     if any(not 0 < t for t in w.t_list):
         raise ConfigError("sweeps.t_list entries must be positive")
-    if cfg.io.format not in ("csv", "structured"):
+    if cfg.io.format not in FORMATS:
         raise ConfigError("io.format must be 'csv' or 'structured'")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
     return cfg
-
-
-def config_dict(cfg):
-    """Effective configuration as a plain dict (for the run header)."""
-    return {
-        "basis": {"lambda_max": cfg.basis.lambda_max, "k_max": cfg.basis.k_max,
-                  "density": cfg.basis.density,
-                  "refine_tol": cfg.basis.refine_tol},
-        "region": {"x1": list(cfg.region.x1), "x2": list(cfg.region.x2)},
-        "kernel": {"s0": cfg.kernel.s0, "support": list(cfg.kernel.support)},
-        "schedule": {"t_horizon": cfg.schedule.t_horizon,
-                     "gamma": cfg.schedule.gamma,
-                     "epsilon": cfg.schedule.epsilon,
-                     "lambda_cap": cfg.schedule.lambda_cap,
-                     "reg_threshold": cfg.schedule.reg_threshold,
-                     "z0_modes": cfg.schedule.z0_modes,
-                     "seed": cfg.schedule.seed,
-                     "final_tol": cfg.schedule.final_tol},
-        "sweeps": {"lambda_list": list(cfg.sweeps.lambda_list),
-                   "t_list": list(cfg.sweeps.t_list)},
-        "io": {"cache_path": cfg.io.cache_path, "out_dir": cfg.io.out_dir,
-               "format": cfg.io.format},
-        "threads": cfg.threads,
-    }

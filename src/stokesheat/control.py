@@ -92,18 +92,17 @@ def _exp_integral(lams_out, lams_in, w):
     return -np.expm1(-s * w) / s
 
 
-def stage_gramian(basis, lam_cap, region, window, gramian=None):
+def stage_gramian(basis, lam_cap, gramian, window):
     """Window controllability Gramian on the modes with lambda <= lam_cap.
 
     G[j, l] = M[j, l] (1 - exp(-(lam_j + lam_l) w)) / (lam_j + lam_l) is the
-    exact time integral of the windowed observation of the semigroup.
+    exact time integral of the windowed observation of the semigroup; M is
+    ``gramian``, the observation Gramian of the region it carries.
     """
     if window <= 0:
         raise InvalidArgumentError("window length must be positive")
     if lam_cap > basis.cutoff:
         raise InvalidArgumentError("stage cutoff exceeds the basis cutoff")
-    if gramian is None:
-        gramian = obs_gramian(basis, region)
     check_gramian(basis, gramian)
     idx = basis.low_indices(lam_cap)
     lams = basis.lambdas[idx]
@@ -131,8 +130,8 @@ class StageSolveInfo:
     dim: int
 
 
-def stage_control(state, lam_cap, region, window, reg_threshold,
-                  gramian=None, gram_eig=None, t0=0.0):
+def stage_control(state, lam_cap, gramian, window, reg_threshold,
+                  gram_eig=None, t0=0.0):
     """Minimal-norm control steering the low-mode block to zero in ``window``.
 
     The target is mu = Pi_lam exp(-w A) z; amplitudes are c = G^+ mu with the
@@ -146,8 +145,7 @@ def stage_control(state, lam_cap, region, window, reg_threshold,
     lams = basis.lambdas[idx]
     mu = np.exp(-lams * window) * state.coeffs[idx]
     if gram_eig is None:
-        g = stage_gramian(basis, lam_cap, region, window, gramian=gramian)
-        d, q = np.linalg.eigh(g)
+        d, q = np.linalg.eigh(stage_gramian(basis, lam_cap, gramian, window))
     else:
         d, q = gram_eig
     if len(idx) == 0 or d[-1] <= 0:
@@ -327,6 +325,7 @@ def run_lr(z0, schedule, basis, region, reg_threshold, gramian=None):
     trajectory is exact, so the recorded norms, costs and residuals carry no
     time-stepping error.  The report also fits the smallest constant making
     the dyadic telescoping inequalities hold along the realized trajectory.
+    A ``gramian`` passed in must be the observation Gramian of ``region``.
     """
     if schedule.max_lam_cap > basis.cutoff:
         raise InvalidArgumentError(
@@ -334,6 +333,10 @@ def run_lr(z0, schedule, basis, region, reg_threshold, gramian=None):
             f"at {basis.cutoff}")
     if gramian is None:
         gramian = obs_gramian(basis, region)
+    elif gramian.region != region:
+        raise InvalidArgumentError(
+            f"observation Gramian is for region {gramian.region!r}, not "
+            f"{region!r}")
     check_gramian(basis, gramian)
     state = z0
     initial_norm = float(np.linalg.norm(z0.coeffs))
@@ -343,13 +346,11 @@ def run_lr(z0, schedule, basis, region, reg_threshold, gramian=None):
         pre = float(np.linalg.norm(state.coeffs))
         at_window = semigroup(state, stage.passive)
         if stage.lam_cap not in eig_cache:
-            g = stage_gramian(basis, stage.lam_cap, region, stage.window,
-                              gramian=gramian)
+            g = stage_gramian(basis, stage.lam_cap, gramian, stage.window)
             eig_cache[stage.lam_cap] = np.linalg.eigh(g)
         segment, info = stage_control(
-            at_window, stage.lam_cap, region, stage.window, reg_threshold,
-            gramian=gramian, gram_eig=eig_cache[stage.lam_cap],
-            t0=stage.start + stage.passive)
+            at_window, stage.lam_cap, gramian, stage.window, reg_threshold,
+            gram_eig=eig_cache[stage.lam_cap], t0=stage.start + stage.passive)
         obs = window_observation(at_window, segment, gramian)
         state = advance_window(at_window, segment, gramian)
         post = float(np.linalg.norm(state.coeffs))

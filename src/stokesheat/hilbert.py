@@ -55,6 +55,9 @@ class ObservationRegion:
     x2: tuple
 
     def __post_init__(self):
+        # float tuples, so that equal rectangles compare equal
+        object.__setattr__(self, "x1", tuple(map(float, self.x1)))
+        object.__setattr__(self, "x2", tuple(map(float, self.x2)))
         a1, b1 = self.x1
         a2, b2 = self.x2
         if not (0.0 <= a1 < b1 <= TWO_PI):

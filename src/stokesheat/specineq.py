@@ -13,8 +13,8 @@ like exp(2 s_max sqrt(Lambda))), so the report computes it as the squared
 smallest singular value of an explicit square-root factor of K built from
 cancellation-free quadrature samples of the mode velocities; the singular
 value decomposition is backward stable, which halves the exponent of the
-resolvable range.  A dense eigensolve cross-checks whenever it can resolve
-the answer.
+resolvable range.  The dense K of :func:`weighted_gramian` is the
+small-cutoff reference the tests compare it against.
 
 The augmented field U(s, x) = sum a_j cosh(sqrt(lam_j) s) u_j(x) with its
 companion pressure turns the spectral sum into a harmonic-pressure elliptic

@@ -249,7 +249,7 @@ def test_criterion_10_propagation_exactness():
         lam_cap = float(rng.uniform(20.0, 100.0))
         a = rng.standard_normal(len(basis))
         state = StateVector(basis, a / np.linalg.norm(a))
-        seg, _ = stage_control(state, lam_cap, region, w, 1e-12, gramian=gram)
+        seg, _ = stage_control(state, lam_cap, gram, w, 1e-12)
         exact = advance_window(state, seg, gram)
         cols = gram.matrix[:, seg.indices]
         lam_in = lams[seg.indices]
@@ -264,7 +264,7 @@ def test_criterion_10_propagation_exactness():
     idx = basis.low_indices(60.0)
     lam_i = lams[idx]
     w = 0.1
-    g = stage_gramian(basis, 60.0, region, w, gramian=gram)
+    g = stage_gramian(basis, 60.0, gram, w)
     ts = np.linspace(0.0, w, 10001)
     dec = np.exp(-np.outer(lam_i, ts))
     e_ref = np.einsum("it,jt->ij", dec, dec) * (ts[1] - ts[0])

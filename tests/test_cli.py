@@ -218,3 +218,26 @@ def test_verify_command(tmp_path):
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert doc["pass"] is True
     assert all(c["pass"] for c in doc["checks"])
+
+
+def test_cache_reused_only_with_matching_build_settings(tmp_path, capsys):
+    cache = tmp_path / "b.json"
+    base = ["eigens", "--lambda-max", "60", "--out-dir", str(tmp_path),
+            "--cache", str(cache)]
+    assert run_cli(base + ["--density", "8", "--k-max", "20"]) == 0
+    capsys.readouterr()
+    assert run_cli(base + ["--density", "8", "--k-max", "20"]) == 0
+    assert "loaded basis from cache" in capsys.readouterr().err
+    # a default run must not silently reuse the density-8, k_max=20 build
+    assert run_cli(base) == 0
+    err = capsys.readouterr().err
+    assert "scan_density 8, want 16" in err and "rebuilding" in err
+    from stokesheat import load_basis
+
+    meta = load_basis(cache).metadata
+    assert (meta["scan_density"], meta["k_max"]) == (16, 8)
+    # k_max is compared only when it is configured
+    assert run_cli(base + ["--k-max", "8"]) == 0
+    assert "loaded basis from cache" in capsys.readouterr().err
+    assert run_cli(base + ["--k-max", "9"]) == 0
+    assert "k_max 8, want 9" in capsys.readouterr().err

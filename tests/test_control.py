@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from stokesheat import (
@@ -9,6 +10,7 @@ from stokesheat import (
     EigenBasis,
     InvalidArgumentError,
     ObservabilityDefectError,
+    ObservationRegion,
     StateVector,
     advance_window,
     cost_and_constant_fit,
@@ -79,7 +81,7 @@ def test_stage_gramian_scalar_formula(region_half):
     basis = single_mode_basis()
     gram = obs_gramian(basis, region_half)
     w = 0.3
-    g = stage_gramian(basis, 15.0, region_half, w, gramian=gram)
+    g = stage_gramian(basis, 15.0, gram, w)
     lam = basis.lambdas[0]
     ref = gram.matrix[0, 0] * (1 - math.exp(-2 * lam * w)) / (2 * lam)
     assert g[0, 0] == pytest.approx(ref, rel=1e-14)
@@ -89,7 +91,7 @@ def test_stage_gramian_long_window_limit(basis60, region_half):
     gram = obs_gramian(basis60, region_half)
     idx = basis60.low_indices(30.0)
     lams = basis60.lambdas[idx]
-    g = stage_gramian(basis60, 30.0, region_half, 50.0, gramian=gram)
+    g = stage_gramian(basis60, 30.0, gram, 50.0)
     ref = gram.matrix[np.ix_(idx, idx)] / np.add.outer(lams, lams)
     assert np.abs(g - ref).max() <= 1e-12
 
@@ -99,7 +101,7 @@ def test_stage_gramian_vs_time_quadrature(basis60, region_half):
     idx = basis60.low_indices(40.0)
     lams = basis60.lambdas[idx]
     w = 0.125
-    g = stage_gramian(basis60, 40.0, region_half, w, gramian=gram)
+    g = stage_gramian(basis60, 40.0, gram, w)
     ts = np.linspace(0.0, w, 10001)
     dec = np.exp(-np.outer(lams, ts))
     e_ref = np.einsum("it,jt->ij", dec, dec) * (ts[1] - ts[0])
@@ -112,7 +114,7 @@ def test_stage_gramian_vs_time_quadrature(basis60, region_half):
 def test_stage_control_zero_state(basis60, region_half):
     gram = obs_gramian(basis60, region_half)
     state = StateVector(basis60, np.zeros(len(basis60)))
-    seg, info = stage_control(state, 30.0, region_half, 0.2, 1e-12, gramian=gram)
+    seg, info = stage_control(state, 30.0, gram, 0.2, 1e-12)
     assert np.abs(seg.amplitudes).max() == 0.0
     assert info.cost == 0.0
     assert info.residual == 0.0
@@ -123,7 +125,7 @@ def test_stage_control_scalar_solve(region_half):
     gram = obs_gramian(basis, region_half)
     state = StateVector(basis, np.array([0.7]))
     w = 0.25
-    seg, info = stage_control(state, 15.0, region_half, w, 1e-12, gramian=gram)
+    seg, info = stage_control(state, 15.0, gram, w, 1e-12)
     lam = basis.lambdas[0]
     mu = 0.7 * math.exp(-lam * w)
     g11 = gram.matrix[0, 0] * (1 - math.exp(-2 * lam * w)) / (2 * lam)
@@ -139,10 +141,10 @@ def test_stage_control_conditioning_contract(basis120, region_half, rng):
     state = unit_mix(basis120, rng, len(basis120))
     w = 0.125
     lam_cap = 64.0
-    g = stage_gramian(basis120, lam_cap, region_half, w, gramian=gram)
+    g = stage_gramian(basis120, lam_cap, gram, w)
     d = np.linalg.eigvalsh(g)
     cond = d[-1] / d[0]
-    seg, info = stage_control(state, lam_cap, region_half, w, 1e-12, gramian=gram)
+    seg, info = stage_control(state, lam_cap, gram, w, 1e-12)
     idx = basis120.low_indices(lam_cap)
     mu = np.exp(-basis120.lambdas[idx] * w) * state.coeffs[idx]
     if cond * np.finfo(float).eps <= 1e-8:
@@ -175,12 +177,12 @@ def test_advance_low_block_matches_reported_residual(basis120, region_half, rng)
     state = unit_mix(basis120, rng, len(basis120))
     w = 0.125
     # full-rank stage: achieved and reported low-mode defects coincide
-    seg, info = stage_control(state, 30.0, region_half, w, 1e-12, gramian=gram)
+    seg, info = stage_control(state, 30.0, gram, w, 1e-12)
     after = advance_window(state, seg, gram)
     low = np.linalg.norm(after.coeffs[seg.indices])
     assert low == pytest.approx(info.residual, abs=1e-12)
     # rank-truncated stage: still consistent at the conditioning level
-    seg, info = stage_control(state, 100.0, region_half, w, 1e-12, gramian=gram)
+    seg, info = stage_control(state, 100.0, gram, w, 1e-12)
     after = advance_window(state, seg, gram)
     low = np.linalg.norm(after.coeffs[seg.indices])
     assert low == pytest.approx(info.residual, abs=1e-10)
@@ -193,7 +195,7 @@ def test_advance_matches_ode_integrator(basis120, region_half, rng):
     lam_cap = 100.0
     for _ in range(3):
         state = unit_mix(basis120, rng, len(basis120))
-        seg, _ = stage_control(state, lam_cap, region_half, w, 1e-12, gramian=gram)
+        seg, _ = stage_control(state, lam_cap, gram, w, 1e-12)
         exact = advance_window(state, seg, gram)
         cols = gram.matrix[:, seg.indices]
         lam_in = lams[seg.indices]
@@ -222,7 +224,7 @@ def test_window_observation_free_and_controlled(basis60, region_half, rng):
                                 @ state.coeffs))
     assert got == pytest.approx(ref, rel=1e-10)
     # controlled trajectory vs dense-time reference
-    seg, _ = stage_control(state, 30.0, region_half, w, 1e-12, gramian=gram)
+    seg, _ = stage_control(state, 30.0, gram, w, 1e-12)
     got_c = window_observation(state, seg, gram)
     ts = np.linspace(0.0, w, 20001)
     lam_in = lams[seg.indices]
@@ -368,3 +370,36 @@ def test_fit_validation():
     with pytest.raises(InvalidArgumentError):
         cost_and_constant_fit([(0.1, 1.0), (0.2, 2.0), (0.4, 3.0), (0.8, 4.0)],
                               sweep="T")
+
+
+def test_run_lr_rejects_gramian_of_another_region(basis60, region_half,
+                                                  region_small):
+    sched = make_schedule(1.0, 1.5, 0.5, 50.0)
+    z0 = StateVector(basis60, np.eye(len(basis60))[0])
+    with pytest.raises(InvalidArgumentError, match="region"):
+        run_lr(z0, sched, basis60, region_half, 1e-12,
+               gramian=obs_gramian(basis60, region_small))
+    # the same rectangle given as lists is the same region
+    same = ObservationRegion(list(region_half.x1), list(region_half.x2))
+    report, _ = run_lr(z0, sched, basis60, same, 1e-12,
+                       gramian=obs_gramian(basis60, region_half))
+    assert report.final_norm <= 1e-4
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_horizon=st.floats(1e-3, 1.0), gamma=st.floats(1.01, 5.0),
+       epsilon=st.floats(0.01, 0.99), lambda_cap=st.floats(1.0, 1e6))
+def test_make_schedule_properties(t_horizon, gamma, epsilon, lambda_cap):
+    sched = make_schedule(t_horizon, gamma, epsilon, lambda_cap)
+    stages = sched.stages
+    assert stages[0].start == 0.0
+    for prev, cur in zip(stages, stages[1:]):
+        assert cur.start == prev.start + prev.tau       # stages tile [0, end]
+        assert cur.tau == 0.5 * prev.tau
+        assert cur.window == 0.5 * prev.window
+        assert prev.lam_cap <= cur.lam_cap
+    assert sched.end == stages[-1].start + stages[-1].tau <= t_horizon
+    for s in stages:
+        raw = (epsilon * s.tau) ** -(1.0 + gamma)
+        assert s.clipped == (raw > lambda_cap)
+        assert s.lam_cap == min(raw, lambda_cap) <= lambda_cap
