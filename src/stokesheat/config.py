@@ -231,6 +231,8 @@ def validate_config(cfg):
         raise ConfigError("schedule.z0_modes must be >= 0 (0 runs from the zero state)")
     if not s.final_tol > 0:
         raise ConfigError("schedule.final_tol must be positive")
+    if s.seed < 0:
+        raise ConfigError("schedule.seed must be >= 0")
     w = cfg.sweeps
     if any(v <= 0 for v in w.lambda_list):
         raise ConfigError("sweeps.lambda_list entries must be positive")

@@ -18,8 +18,8 @@ from scipy.linalg import solve_triangular
 
 from .errors import InvalidArgumentError, ObservabilityDefectError
 from .fitting import linear_fit
-from .hilbert import (StateVector, check_gramian, obs_gramian,
-                      sampled_velocity_factor, semigroup)
+from .hilbert import (StateVector, check_cutoff, check_gramian, obs_gramian,
+                      sampled_velocity_factor, semigroup, stacked_factor_r)
 from .quadrature import gauss_legendre
 
 
@@ -101,8 +101,7 @@ def stage_gramian(basis, lam_cap, gramian, window):
     """
     if window <= 0:
         raise InvalidArgumentError("window length must be positive")
-    if lam_cap > basis.cutoff:
-        raise InvalidArgumentError("stage cutoff exceeds the basis cutoff")
+    check_cutoff(basis, lam_cap)
     check_gramian(basis, gramian)
     idx = basis.low_indices(lam_cap)
     lams = basis.lambdas[idx]
@@ -386,10 +385,11 @@ def obs_constant(basis, lam_cap, t_horizon, region, defect_threshold=1e-13):
     low-mode subspace: the top generalized eigenvalue of the pair
     (diag(exp(-2 lam T)), O) with O the horizon observation Gramian.  O is
     represented by a square-root factor R (time-graded quadrature stacked on
-    cancellation-free velocity samples, QR-compressed), and the symmetric
-    reduction becomes the largest singular value of diag(exp(-lam T)) R^-1;
-    this resolves constants across twice the dynamic range a dense
-    eigensolve of the assembled O could.
+    cancellation-free velocity samples, QR-compressed block by block through
+    :func:`stacked_factor_r`), and the symmetric reduction becomes the
+    largest singular value of diag(exp(-lam T)) R^-1; this resolves
+    constants across twice the dynamic range a dense eigensolve of the
+    assembled O could.
 
     Raises ObservabilityDefectError, carrying the least visible coefficient
     direction, when O is singular below ``defect_threshold`` (relative
@@ -397,15 +397,14 @@ def obs_constant(basis, lam_cap, t_horizon, region, defect_threshold=1e-13):
     """
     if not t_horizon > 0:
         raise InvalidArgumentError("horizon must be positive")
+    check_cutoff(basis, lam_cap)
     idx = basis.low_indices(lam_cap)
     if len(idx) == 0:
         raise InvalidArgumentError(f"no modes at or below lam_cap {lam_cap!r}")
     lams = basis.lambdas[idx]
     r_g = sampled_velocity_factor(basis, idx, region)
     t, wt = _window_time_nodes(t_horizon, float(lams.max()))
-    decay = np.exp(-np.outer(t, lams))
-    f = (np.sqrt(wt)[:, None, None] * (r_g[None, :, :] * decay[:, None, :]))
-    r_fac = np.linalg.qr(f.reshape(-1, len(idx)), mode="r")
+    r_fac = stacked_factor_r(r_g, np.sqrt(wt), np.exp(-np.outer(t, lams)))
     _, svals, vt = np.linalg.svd(r_fac)
     if svals[-1] <= defect_threshold * svals[0]:
         direction = np.zeros(len(basis.lambdas))

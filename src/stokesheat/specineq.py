@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fitting import linear_fit
-from .hilbert import obs_gramian, sampled_velocity_factor
+from .hilbert import (check_cutoff, obs_gramian, sampled_velocity_factor,
+                      stacked_factor_r)
 from .quadrature import (COS, GAUSS_NODES_X2, gauss_legendre, trig_eval,
                          trig_pair_integral)
 
@@ -152,9 +153,7 @@ def cosh_pair_weights(kernel, sqrt_lams, rtol=1e-10):
 def weighted_gramian(basis, lam_cap, region, kernel, rtol=1e-10):
     """Dense kernel-weighted observation Gramian K on the modes with lam <=
     lam_cap: the small-cutoff reference for :func:`mineig_weighted_gramian`."""
-    if lam_cap > basis.cutoff:
-        raise InvalidArgumentError(
-            f"lam_cap {lam_cap!r} exceeds the basis cutoff {basis.cutoff!r}")
+    check_cutoff(basis, lam_cap)
     idx = basis.low_indices(lam_cap)
     if len(idx) == 0:
         return np.zeros((0, 0))
@@ -165,17 +164,21 @@ def weighted_gramian(basis, lam_cap, region, kernel, rtol=1e-10):
 
 def mineig_weighted_gramian(basis, lam_cap, region, kernel, rtol=1e-10):
     """Smallest eigenvalue of K as the squared smallest singular value of a
-    square-root factor; resolves values far below eps * lambda_max(K)."""
+    square-root factor; resolves values far below eps * lambda_max(K).
+
+    The factor stacks r_g diag(cosh(s sqrt(lam))) over the kernel's
+    quadrature nodes s, weighted by sqrt(w) kappa(s); it is streamed through
+    :func:`stacked_factor_r`, never held whole.
+    """
+    check_cutoff(basis, lam_cap)
     idx = basis.low_indices(lam_cap)
     if len(idx) == 0:
         raise InvalidArgumentError(f"no modes at or below lam_cap {lam_cap!r}")
     r_g = sampled_velocity_factor(basis, idx, region)
-    s, w = kernel_quadrature(kernel, rtol=rtol)
-    kap = kernel.kappa(s)
-    cosh_w = np.cosh(np.outer(s, np.sqrt(basis.lambdas[idx])))
-    blocks = (np.sqrt(w) * kap)[:, None, None] * (r_g[None, :, :] * cosh_w[:, None, :])
-    f = blocks.reshape(-1, len(idx))
-    r_f = np.linalg.qr(f, mode="r")
+    q = np.sqrt(basis.lambdas[idx])
+    s, w = kernel_quadrature(kernel, m_max=2.0 * q.max(), rtol=rtol)
+    r_f = stacked_factor_r(r_g, np.sqrt(w) * kernel.kappa(s),
+                           np.cosh(np.outer(s, q)))
     svals = np.linalg.svd(r_f, compute_uv=False)
     return float(svals[-1] ** 2)
 

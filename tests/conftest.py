@@ -20,6 +20,11 @@ def basis220():
 
 
 @pytest.fixture(scope="session")
+def basis500():
+    return assemble_basis(500.0)
+
+
+@pytest.fixture(scope="session")
 def region_half():
     return ObservationRegion(x1=(0.0, np.pi), x2=(0.3, 0.7))
 

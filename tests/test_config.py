@@ -63,6 +63,17 @@ def test_booleans_wrong_types_and_non_finite_rejected(tmp_path, capsys, doc):
     assert "config error" in capsys.readouterr().err
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path / "cfg.json", {"schedule": {"seed": -1}})
+    with pytest.raises(ConfigError, match="schedule.seed"):
+        load_config(path)
+    out_dir = str(tmp_path / "out")
+    assert cli.main(["control", "--lambda-max", "80", "--lambda-cap", "64",
+                     "--seed", "-1", "--out-dir", out_dir]) == 2
+    assert "schedule.seed must be >= 0" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
 def test_file_structure_errors(tmp_path):
     for doc, text in (({"basis.lambda_max": 80}, "unknown key basis.lambda_max"),
                       ({"basis": [80]}, "basis must be an object")):

@@ -338,6 +338,11 @@ def test_obs_constant_monotone_in_horizon(basis220, region_half):
         assert a >= b * (1 - 1e-12)
 
 
+def test_obs_constant_rejects_cutoff_above_basis(basis60, region_half):
+    with pytest.raises(InvalidArgumentError, match="exceeds the basis cutoff"):
+        obs_constant(basis60, 5000.0, 0.5, region_half)
+
+
 def test_obs_constant_defect_error(basis220, region_small):
     with pytest.raises(ObservabilityDefectError) as err:
         obs_constant(basis220, 200.0, 0.5, region_small, defect_threshold=1e-2)

@@ -1,8 +1,10 @@
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stokesheat import (
     BasisFormatError,
@@ -311,3 +313,28 @@ def test_load_missing_field(tmp_path, basis60):
     path.write_text(json.dumps(doc))
     with pytest.raises(BasisFormatError):
         load_basis(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 9),
+       blocks=st.sampled_from(["fewer", "one", "one_plus_one", "n_over_rows"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_factor_r_matches_full_stack_qr(n, blocks, seed):
+    # a 48-row buffer stands in for the default, so every way a stack can
+    # split into chunks is reached on small matrices
+    rows = 48 if blocks != "n_over_rows" else n - 1
+    per = max(1, (rows - n) // n)
+    n_blocks = {"fewer": max(1, per - 1), "one": per, "one_plus_one": per + 1,
+                "n_over_rows": 3}[blocks]
+    rng = np.random.default_rng(seed)
+    r_g = np.triu(rng.standard_normal((n, n)))
+    weights = rng.uniform(0.1, 2.0, n_blocks)
+    scales = np.exp(rng.uniform(-3.0, 3.0, (n_blocks, n)))
+    with mock.patch.object(hilbert, "_STACK_ROWS", rows):
+        got = hilbert.stacked_factor_r(r_g, weights, scales)
+    full = weights[:, None, None] * (r_g[None] * scales[:, None, :])
+    ref = np.linalg.qr(full.reshape(-1, n), mode="r")
+    assert got.shape == ref.shape
+    gram_ref = ref.T @ ref
+    assert (np.abs(got.T @ got - gram_ref).max()
+            <= 1e-12 * np.abs(gram_ref).max())

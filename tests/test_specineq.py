@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from stokesheat import (
     weighted_gramian,
 )
 from stokesheat import specineq
+from stokesheat.hilbert import sampled_velocity_factor
 from stokesheat.quadrature import gauss_legendre
 from stokesheat.spectral import eval_mode
 
@@ -119,6 +121,68 @@ def test_mineig_matches_eigh_when_resolvable(basis60, region_small, kernel):
         dense = float(np.linalg.eigvalsh(k)[0])
         fac = mineig_weighted_gramian(basis60, lam_cap, region_small, kernel)
         assert fac == pytest.approx(dense, rel=1e-6)
+
+
+def full_stack_mineig(basis, lam_cap, region, kernel, rtol=1e-10):
+    """The full-stack min-eig path the streamed one replaced: every weighted
+    block materialized, then one QR.  The blocks are formed in place (the
+    same products in the same order) to spare a stack-sized temporary.
+    Returns min_eig and the condition number of the stacked factor."""
+    idx = basis.low_indices(lam_cap)
+    r_g = sampled_velocity_factor(basis, idx, region)
+    s, w = specineq.kernel_quadrature(kernel, rtol=rtol)
+    cosh_w = np.cosh(np.outer(s, np.sqrt(basis.lambdas[idx])))
+    f = np.empty((len(s), len(idx), len(idx)))
+    np.multiply(r_g[None, :, :], cosh_w[:, None, :], out=f)
+    f *= (np.sqrt(w) * kernel.kappa(s))[:, None, None]
+    r_f = np.linalg.qr(f.reshape(-1, len(idx)), mode="r")
+    del f
+    svals = np.linalg.svd(r_f, compute_uv=False)
+    return float(svals[-1] ** 2), float(svals[0] / svals[-1])
+
+
+def test_mineig_matches_full_stack_within_eps_kappa(basis500, region_small,
+                                                    kernel):
+    # README cutoffs; the streamed QR reorders the arithmetic, so each value
+    # may move by the backward-error floor 2 eps kappa(F) of min_eig
+    for lam_cap in (25.0, 50.0, 100.0, 200.0, 400.0):
+        ref, kappa_f = full_stack_mineig(basis500, lam_cap, region_small, kernel)
+        got = mineig_weighted_gramian(basis500, lam_cap, region_small, kernel)
+        assert abs(got - ref) <= 2.0 * np.finfo(float).eps * kappa_f * ref
+
+
+def test_mineig_memory_does_not_grow_with_the_stack(basis500, region_small,
+                                                    kernel):
+    # n = 96 modes at Lambda = 200 over 512 kernel nodes: the full stack of
+    # 512 x 96 x 96 blocks alone is 38 MB
+    mineig_weighted_gramian(basis500, 200.0, region_small, kernel)  # warm caches
+    tracemalloc.start()
+    try:
+        mineig_weighted_gramian(basis500, 200.0, region_small, kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_mineig_refines_quadrature_for_the_cosh_growth(monkeypatch, basis60,
+                                                       region_small, kernel):
+    seen = []
+    real = specineq.kernel_quadrature
+
+    def spy(kern, m_max=0.0, rtol=1e-10):
+        seen.append(m_max)
+        return real(kern, m_max, rtol)
+
+    monkeypatch.setattr(specineq, "kernel_quadrature", spy)
+    mineig_weighted_gramian(basis60, 30.0, region_small, kernel)
+    q_max = math.sqrt(basis60.lambdas[basis60.low_indices(30.0)].max())
+    assert seen == [2.0 * q_max]
+
+
+def test_mineig_rejects_cutoff_above_basis(basis60, region_small, kernel):
+    with pytest.raises(InvalidArgumentError, match="exceeds the basis cutoff"):
+        mineig_weighted_gramian(basis60, 5000.0, region_small, kernel)
 
 
 def test_mineig_cosh_floor(basis60, region_small, kernel):
