@@ -74,8 +74,9 @@ def _get_basis(cfg, log):
     if cache and os.path.exists(cache):
         try:
             basis = hb.load_basis(cache)
-            settings = dict(lambda_max=want.lambda_max, k_max=want.k_max,
-                            scan_density=want.density, refine_tol=want.refine_tol)
+            # k_max is compared only when one is configured
+            settings = sc.build_settings(want.lambda_max, want.k_max,
+                                         want.density, want.refine_tol)
             stale = [f"{key} {basis.metadata.get(key)!r}, want {value!r}"
                      for key, value in settings.items()
                      if value is not None and basis.metadata.get(key) != value]

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     BasisFormatError,
     BasisVersionError,
+    DegenerateBranchError,
     InvalidArgumentError,
 )
 from .quadrature import (
@@ -35,9 +36,8 @@ from .spectral import (
     SINE,
     EigenBasis,
     EigenMode,
-    StreamProfile,
     TWO_PI,
-    ZeroModeProfile,
+    branch_of,
 )
 
 
@@ -161,7 +161,7 @@ def obs_gramian(basis, region):
     return ModalGramian(basis_id=basis.basis_id, region=region, matrix=m)
 
 
-def sampled_velocity_factor(basis, indices, region, nodes_x1=None):
+def sampled_velocity_factor(basis, indices, region):
     """Upper-triangular factor R with R^T R = M on the given index set.
 
     R is the QR compression of the cancellation-free matrix of velocity
@@ -174,8 +174,7 @@ def sampled_velocity_factor(basis, indices, region, nodes_x1=None):
     idx = np.asarray(indices, dtype=int)
     tab = basis.table
     a1, b1 = region.x1
-    if nodes_x1 is None:
-        nodes_x1 = max(64, math.ceil(0.75 * tab.k[idx].max(initial=1) * (b1 - a1)) + 32)
+    nodes_x1 = max(64, math.ceil(0.75 * tab.k[idx].max(initial=1) * (b1 - a1)) + 32)
     x1, w1 = gauss_legendre(nodes_x1, a1, b1)
     x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)
     sqw = np.sqrt(np.outer(w1, w2))
@@ -276,36 +275,38 @@ def apply_B(gramian, g, indices):
 def _mode_record(mode):
     rec = {"k": mode.k, "n": mode.n, "phase": mode.phase,
            "lambda": mode.lam, "eta_trace": mode.eta_trace}
-    if isinstance(mode.profile, ZeroModeProfile):
-        rec["amplitude"] = mode.profile.amplitude
+    if mode.k == 0:
+        rec["amplitude"] = mode.amplitude
     else:
-        rec["branch"] = mode.profile.branch
-        rec["c"] = list(mode.profile.c)
-        rec["norm_factor"] = mode.profile.norm_factor
+        rec.update(branch=branch_of(mode.k, mode.lam), c=list(mode.c),
+                   norm_factor=mode.norm_factor)
     return rec
 
 
 def _mode_from_record(rec):
+    """The mode of a cache record; a k >= 1 record's ``branch`` must be the
+    one its lambda lies on."""
     try:
         k = int(rec["k"])
-        n = int(rec["n"])
         lam = float(rec["lambda"])
-        eta = float(rec["eta_trace"])
-        phase = rec["phase"]
         if k == 0:
-            profile = ZeroModeProfile(n=n, amplitude=float(rec["amplitude"]))
+            c, norm_factor, amplitude = (0.0,) * 4, 0.0, float(rec["amplitude"])
         else:
-            c = rec["c"]
+            c = tuple(float(v) for v in rec["c"])
             if len(c) != 4:
-                raise BasisFormatError("profile must carry 4 coefficients")
-            profile = StreamProfile(k=k, lam=lam, branch=str(rec["branch"]),
-                                    c=tuple(float(v) for v in c),
-                                    norm_factor=float(rec["norm_factor"]))
+                raise BasisFormatError("c must carry 4 coefficients")
+            if rec["branch"] != branch_of(k, lam):
+                raise BasisFormatError(
+                    f"branch {rec['branch']!r} disagrees with lambda {lam!r} "
+                    f"at k={k}")
+            norm_factor, amplitude = float(rec["norm_factor"]), 0.0
+        phase = rec["phase"]
         if phase not in (None, COSINE, SINE):
             raise BasisFormatError(f"unknown phase {phase!r}")
-        return EigenMode(k=k, n=n, lam=lam, phase=phase, profile=profile,
-                         eta_trace=eta)
-    except (KeyError, TypeError, ValueError) as exc:
+        return EigenMode(k=k, n=int(rec["n"]), lam=lam, phase=phase, c=c,
+                         norm_factor=norm_factor, amplitude=amplitude,
+                         eta_trace=float(rec["eta_trace"]))
+    except (KeyError, TypeError, ValueError, DegenerateBranchError) as exc:
         raise BasisFormatError(f"malformed mode record: {exc}") from exc
 
 

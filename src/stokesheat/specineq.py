@@ -36,6 +36,8 @@ from .quadrature import (COS, GAUSS_NODES_X2, gauss_legendre, trig_eval,
                          trig_pair_integral)
 
 _QUAD_MAX_LEVEL = 9
+# relative stability of the probe integrals that ends kernel_quadrature
+_QUAD_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,11 @@ def _panel_nodes(a, b, n_per_panel, depth):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def kernel_quadrature(kernel, m_max=0.0, rtol=1e-10):
+def kernel_quadrature(kernel, m_max=0.0):
     """Adaptive quadrature rule resolving kappa^2 * cosh(m s) for m <= m_max.
 
     Panels are refined until the probe integrals (m = 0 and m = m_max,
-    evaluated in log space) are stable to ``rtol``.
+    evaluated in log space) are stable to ``_QUAD_RTOL``.
     """
     a, b = kernel.support
     prev = None
@@ -104,15 +106,10 @@ def kernel_quadrature(kernel, m_max=0.0, rtol=1e-10):
         if prev is not None:
             d0 = abs(probe0 - prev[0]) / abs(prev[0])
             d1 = abs(probe1 - prev[1]) / max(1.0, abs(prev[1]))
-            if d0 <= rtol and d1 <= rtol:
+            if d0 <= _QUAD_RTOL and d1 <= _QUAD_RTOL:
                 return s, w
         prev = (probe0, probe1)
     return s, w
-
-
-def kappa_sq_integral(kernel, rtol=1e-10):
-    s, w = kernel_quadrature(kernel, 0.0, rtol)
-    return float(np.dot(w, kernel.kappa(s) ** 2))
 
 
 def _log_cosh_moments(kernel, m, s, w):
@@ -133,14 +130,14 @@ def _log_cosh_moments(kernel, m, s, w):
     return out
 
 
-def cosh_pair_weights(kernel, sqrt_lams, rtol=1e-10):
+def cosh_pair_weights(kernel, sqrt_lams):
     """Matrix C[j, l] = int kappa^2 cosh(s q_j) cosh(s q_l) ds.
 
     Uses cosh q cosh r = (cosh(q + r) + cosh(q - r))/2 and log-space moment
     evaluation, recombined at the end.
     """
     q = np.asarray(sqrt_lams, dtype=float)
-    s, w = kernel_quadrature(kernel, m_max=2.0 * q.max(initial=0.0), rtol=rtol)
+    s, w = kernel_quadrature(kernel, m_max=2.0 * q.max(initial=0.0))
     msum = q[:, None] + q[None, :]
     mdif = np.abs(q[:, None] - q[None, :])
     log_sum = _log_cosh_moments(kernel, msum.ravel(), s, w).reshape(msum.shape)
@@ -150,7 +147,7 @@ def cosh_pair_weights(kernel, sqrt_lams, rtol=1e-10):
     return 0.5 * (c + c.T)
 
 
-def weighted_gramian(basis, lam_cap, region, kernel, rtol=1e-10):
+def weighted_gramian(basis, lam_cap, region, kernel):
     """Dense kernel-weighted observation Gramian K on the modes with lam <=
     lam_cap: the small-cutoff reference for :func:`mineig_weighted_gramian`."""
     check_cutoff(basis, lam_cap)
@@ -158,11 +155,11 @@ def weighted_gramian(basis, lam_cap, region, kernel, rtol=1e-10):
     if len(idx) == 0:
         return np.zeros((0, 0))
     m_sub = obs_gramian(basis, region).matrix[np.ix_(idx, idx)]
-    c = cosh_pair_weights(kernel, np.sqrt(basis.lambdas[idx]), rtol=rtol)
+    c = cosh_pair_weights(kernel, np.sqrt(basis.lambdas[idx]))
     return m_sub * c
 
 
-def mineig_weighted_gramian(basis, lam_cap, region, kernel, rtol=1e-10):
+def mineig_weighted_gramian(basis, lam_cap, region, kernel):
     """Smallest eigenvalue of K as the squared smallest singular value of a
     square-root factor; resolves values far below eps * lambda_max(K).
 
@@ -176,7 +173,7 @@ def mineig_weighted_gramian(basis, lam_cap, region, kernel, rtol=1e-10):
         raise InvalidArgumentError(f"no modes at or below lam_cap {lam_cap!r}")
     r_g = sampled_velocity_factor(basis, idx, region)
     q = np.sqrt(basis.lambdas[idx])
-    s, w = kernel_quadrature(kernel, m_max=2.0 * q.max(), rtol=rtol)
+    s, w = kernel_quadrature(kernel, m_max=2.0 * q.max())
     r_f = stacked_factor_r(r_g, np.sqrt(w) * kernel.kappa(s),
                            np.cosh(np.outer(s, q)))
     svals = np.linalg.svd(r_f, compute_uv=False)
@@ -212,7 +209,7 @@ class SpectralInequalityReport:
         return [r for r in self.records if r.violation]
 
 
-def spec_ineq_report(basis, lam_list, region, kernel, rtol=1e-10):
+def spec_ineq_report(basis, lam_list, region, kernel):
     """Per-cutoff minimum eigenvalues of K and the fitted decay constant.
 
     The fit regresses -log(min_eig) on sqrt(Lambda); the slope estimates the
@@ -231,8 +228,7 @@ def spec_ineq_report(basis, lam_list, region, kernel, rtol=1e-10):
                                           implied_constant=float("nan"),
                                           violation=False))
             continue
-        min_eig = mineig_weighted_gramian(basis, lam_cap, region, kernel,
-                                          rtol=rtol)
+        min_eig = mineig_weighted_gramian(basis, lam_cap, region, kernel)
         implied = (-math.log(min_eig) / math.sqrt(lam_cap)
                    if min_eig > 0 else float("nan"))
         records.append(SpectralRecord(lam_cutoff=lam_cap, dim=len(idx),

@@ -79,38 +79,25 @@ def degeneracy_tolerance(k):
 
 
 @dataclass(frozen=True)
-class StreamProfile:
-    """Stream-function record of a k >= 1 eigenmode.
+class EigenMode:
+    """One eigenmode, flat: the columns of :class:`ModeTable`.
 
-    ``c`` holds the four coefficients in the scaled fundamental system
-    {exp(-k x2), exp(k (x2-1)), cos(beta x2), sin(beta x2)} for the
-    oscillatory branch (lam > k^2, beta = sqrt(lam - k^2)) or
-    {exp(-k x2), exp(k (x2-1)), exp(-mu x2), exp(mu (x2-1))} for the
-    evanescent branch (mu = sqrt(k^2 - lam)).
+    For k >= 1, ``c`` holds the four stream coefficients in the scaled
+    fundamental system {exp(-k x2), exp(k (x2-1)), cos(beta x2), sin(beta x2)}
+    of the oscillatory branch (lam > k^2, beta = sqrt(lam - k^2)) or
+    {exp(-k x2), exp(k (x2-1)), exp(-mu x2), exp(mu (x2-1))} of the
+    evanescent branch (mu = sqrt(k^2 - lam)), and ``norm_factor`` scales them
+    to unit norm.  A k = 0 mode is u = amplitude*(sin(n pi x2), 0).  A field
+    that does not apply is zero.
     """
 
-    k: int
-    lam: float
-    branch: str
-    c: tuple
-    norm_factor: float
-
-
-@dataclass(frozen=True)
-class ZeroModeProfile:
-    """Analytic record of a k = 0 mode: u = amplitude*(sin(n pi x2), 0)."""
-
-    n: int
-    amplitude: float
-
-
-@dataclass(frozen=True)
-class EigenMode:
     k: int
     n: int
     lam: float
     phase: str          # "cosine" | "sine" for k >= 1, None for k = 0
-    profile: object     # StreamProfile or ZeroModeProfile
+    c: tuple
+    norm_factor: float
+    amplitude: float
     eta_trace: float    # amplitude of the boundary heat unknown
 
 
@@ -140,8 +127,7 @@ class EigenBasis:
         h = hashlib.sha256()
         h.update(repr((self.cutoff, self.k_range)).encode())
         for m in self.modes:
-            h.update(repr((m.k, m.n, m.lam, m.phase, m.eta_trace,
-                           m.profile)).encode())
+            h.update(repr(m).encode())
         return h.hexdigest()
 
     def low_indices(self, lam_cap):
@@ -333,7 +319,7 @@ def build_mode(k, lam, phase, n=0):
         raise InvalidArgumentError(f"phase must be 'cosine' or 'sine', got {phase!r}")
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise InvalidArgumentError(f"wavenumber k must be an integer >= 1, got {k!r}")
-    branch = branch_of(k, lam)
+    branch_of(k, lam)  # raises inside the guard interval
     mat = _boundary_matrix(k, lam)
     _, sing, vt = np.linalg.svd(mat)
     if sing[3] > RESIDUAL_GATE * sing[0]:
@@ -349,11 +335,10 @@ def build_mode(k, lam, phase, n=0):
     if c[pivot] < 0:
         c = -c
     nf = 1.0 / _stream_norm(k, lam, c)
-    profile = StreamProfile(k=int(k), lam=float(lam), branch=branch,
-                            c=tuple(float(v) for v in c), norm_factor=nf)
     phi1 = float(np.asarray(c) @ _fundamental(k, lam, 1.0, 0))
     return EigenMode(k=int(k), n=int(n), lam=float(lam), phase=phase,
-                     profile=profile, eta_trace=phi1 * nf)
+                     c=tuple(float(v) for v in c), norm_factor=nf,
+                     amplitude=0.0, eta_trace=phi1 * nf)
 
 
 def zero_mode(n):
@@ -362,16 +347,16 @@ def zero_mode(n):
         raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
     lam = float(n * np.pi) ** 2
     amp = 1.0 / math.sqrt(np.pi)
-    return EigenMode(k=0, n=int(n), lam=lam, phase=None,
-                     profile=ZeroModeProfile(n=int(n), amplitude=amp),
-                     eta_trace=0.0)
+    return EigenMode(k=0, n=int(n), lam=lam, phase=None, c=(0.0,) * 4,
+                     norm_factor=0.0, amplitude=amp, eta_trace=0.0)
 
 
-def stream_eval(profile, x2, deriv=0):
-    """d^deriv phi / dx2^deriv from the stored coefficients, normalized."""
-    c = np.asarray(profile.c)
-    rows = _fundamental(profile.k, profile.lam, np.asarray(x2, float), deriv)
-    return np.tensordot(c, rows, axes=(0, 0)) * profile.norm_factor
+def stream_eval(mode, x2, deriv=0):
+    """d^deriv phi / dx2^deriv of a k >= 1 mode from its stored coefficients,
+    normalized."""
+    c = np.asarray(mode.c)
+    rows = _fundamental(mode.k, mode.lam, np.asarray(x2, float), deriv)
+    return np.tensordot(c, rows, axes=(0, 0)) * mode.norm_factor
 
 
 def mode_x1_trig(mode, component):
@@ -396,21 +381,20 @@ def mode_profile(mode, x2, component, deriv=0):
     :func:`mode_x1_trig`.
     """
     x2 = np.asarray(x2, dtype=float)
-    prof = mode.profile
     if mode.k == 0:
         if component == "u1":
-            npi = prof.n * np.pi
-            return prof.amplitude * npi ** deriv * np.sin(npi * x2 + deriv * 0.5 * np.pi)
+            npi = mode.n * np.pi
+            return mode.amplitude * npi ** deriv * np.sin(npi * x2 + deriv * 0.5 * np.pi)
         return np.zeros(x2.shape)
     k = mode.k
     if component == "u1":
         sign = -1.0 if mode.phase == COSINE else 1.0
-        return sign / k * stream_eval(prof, x2, deriv + 1)
+        return sign / k * stream_eval(mode, x2, deriv + 1)
     if component == "u2":
-        return stream_eval(prof, x2, deriv)
+        return stream_eval(mode, x2, deriv)
     if component == "p":
-        return (stream_eval(prof, x2, deriv + 3)
-                + (prof.lam - k * k) * stream_eval(prof, x2, deriv + 1)) / k ** 2
+        return (stream_eval(mode, x2, deriv + 3)
+                + (mode.lam - k * k) * stream_eval(mode, x2, deriv + 1)) / k ** 2
     raise InvalidArgumentError(f"unknown component {component!r}")
 
 
@@ -434,9 +418,9 @@ class ModeTable:
         self.lam = col(lambda m: m.lam)
         self.sine = col(lambda m: m.phase == SINE, bool)
         self.oscillatory = col(lambda m: m.lam > m.k * m.k, bool)
-        self.c = col(lambda m: getattr(m.profile, "c", (0.0,) * 4)).reshape(-1, 4)
-        self.norm_factor = col(lambda m: getattr(m.profile, "norm_factor", 0.0))
-        self.amplitude = col(lambda m: getattr(m.profile, "amplitude", 0.0))
+        self.c = col(lambda m: m.c).reshape(-1, 4)
+        self.norm_factor = col(lambda m: m.norm_factor)
+        self.amplitude = col(lambda m: m.amplitude)
         self.eta_trace = col(lambda m: m.eta_trace)
 
     def x1_trig(self, component):
@@ -516,6 +500,21 @@ def _sector_modes(k, lam_max, density, tol):
     return modes
 
 
+def build_settings(lam_max, k_max, density, tol):
+    """The build settings :func:`assemble_basis` records in a basis's
+    metadata; a cache is reusable only where they match."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "lambda_max": float(lam_max),
+        "k_max": None if k_max is None else int(k_max),
+        "scan_density": int(density),
+        "refine_tol": float(tol),
+        "residual_gate": RESIDUAL_GATE,
+        "multiplicity_gate": MULTIPLICITY_GATE,
+        "gauss_nodes_x2": GAUSS_NODES_X2,
+    }
+
+
 def assemble_basis(lam_max, k_max=None, density=16, tol=1e-12, threads=1):
     """Gather every eigenmode with lambda <= lam_max into an ordered basis.
 
@@ -540,7 +539,7 @@ def assemble_basis(lam_max, k_max=None, density=16, tol=1e-12, threads=1):
     while (n * np.pi) ** 2 <= lam_max:
         modes.append(zero_mode(n))
         n += 1
-    sectors = range(1, k_max + 1)
+    sectors = range(1, k_max)  # sector k_max was just found empty
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(
@@ -550,30 +549,21 @@ def assemble_basis(lam_max, k_max=None, density=16, tol=1e-12, threads=1):
     for sector in results:
         modes.extend(sector)
     modes.sort(key=lambda m: (m.lam, m.k, _PHASE_RANK[m.phase]))
-    metadata = {
-        "schema_version": SCHEMA_VERSION,
-        "lambda_max": float(lam_max),
-        "k_max": int(k_max),
-        "scan_density": int(density),
-        "refine_tol": float(tol),
-        "residual_gate": RESIDUAL_GATE,
-        "multiplicity_gate": MULTIPLICITY_GATE,
-        "gauss_nodes_x2": GAUSS_NODES_X2,
-        "built_utc": datetime.now(timezone.utc).isoformat(),
-    }
+    metadata = {**build_settings(lam_max, k_max, density, tol),
+                "built_utc": datetime.now(timezone.utc).isoformat()}
     return EigenBasis(cutoff=float(lam_max), k_range=int(k_max),
                       modes=tuple(modes), metadata=metadata)
 
 
-def boundary_residuals(mode, n_samples=20):
-    """Max residuals of the five mode equations on a sample grid.
+def boundary_residuals(mode):
+    """Max residuals of the five mode equations on a 20 x 20 sample grid.
 
     Returns a dict of sup-norm residuals (momentum_x1, momentum_x2,
     divergence, dirichlet, ventcel) normalized by the largest field value;
     used by the invariant tests.
     """
-    x1 = np.linspace(0.0, TWO_PI, n_samples, endpoint=False)
-    x2 = np.linspace(0.0, 1.0, n_samples)
+    x1 = np.linspace(0.0, TWO_PI, 20, endpoint=False)
+    x2 = np.linspace(0.0, 1.0, 20)
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
     lam = mode.lam
     t1k, t1w = mode_x1_trig(mode, "u1")

@@ -241,3 +241,23 @@ def test_cache_reused_only_with_matching_build_settings(tmp_path, capsys):
     assert "loaded basis from cache" in capsys.readouterr().err
     assert run_cli(base + ["--k-max", "9"]) == 0
     assert "k_max 8, want 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("residual_gate", 1e-05),
+                                          ("multiplicity_gate", 1e-07),
+                                          ("gauss_nodes_x2", 32)])
+def test_cache_with_another_build_setting_is_rebuilt(tmp_path, capsys, field,
+                                                     value):
+    cache = tmp_path / "b.json"
+    args = ["eigens", "--lambda-max", "60", "--out-dir", str(tmp_path),
+            "--cache", str(cache)]
+    assert run_cli(args) == 0
+    doc = json.loads(cache.read_text())
+    want = doc["metadata"][field]
+    doc["metadata"][field] = value
+    cache.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(args) == 0
+    err = capsys.readouterr().err
+    assert f"has {field} {value!r}, want {want!r}; rebuilding" in err
+    assert json.loads(cache.read_text())["metadata"][field] == want

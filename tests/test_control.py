@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from stokesheat import (
-    ControlSegment,
-    EigenBasis,
     InvalidArgumentError,
     ObservabilityDefectError,
     ObservationRegion,
     StateVector,
-    advance_window,
     cost_and_constant_fit,
     make_schedule,
     obs_constant,
@@ -22,11 +19,12 @@ from stokesheat import (
     stage_control,
     stage_gramian,
     trace_gramian,
-    window_observation,
     zero_mode,
 )
 from stokesheat import FULL_REGION
-from stokesheat.control import _exp_integral
+from stokesheat.control import (ControlSegment, _exp_integral, advance_window,
+                                window_observation)
+from stokesheat.spectral import EigenBasis
 
 
 def unit_mix(basis, rng, n_low):
@@ -214,8 +212,6 @@ def test_window_observation_free_and_controlled(basis60, region_half, rng):
     state = unit_mix(basis60, rng, len(basis60))
     w = 0.2
     # free trajectory: closed form is a^T (M * E(w)) a
-    from stokesheat.control import ControlSegment
-
     seg0 = ControlSegment(t0=0.0, t1=w, indices=np.array([], dtype=int),
                           amplitudes=np.array([]))
     got = window_observation(state, seg0, gram)
@@ -389,6 +385,35 @@ def test_run_lr_rejects_gramian_of_another_region(basis60, region_half,
     report, _ = run_lr(z0, sched, basis60, same, 1e-12,
                        gramian=obs_gramian(basis60, region_half))
     assert report.final_norm <= 1e-4
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="run_lr reuses one stage-Gramian factorization per "
+                          "cutoff across windows (ROADMAP item 1)")
+def test_run_lr_stage_records_match_fresh_stage_control(basis120, region_half,
+                                                        gram120, rng):
+    sched = make_schedule(1.0, 1.5, 0.5, 100.0)   # stages 1-12 share cap 100
+    z0 = unit_mix(basis120, rng, 25)
+    report, _ = run_lr(z0, sched, basis120, region_half, 1e-12,
+                       gramian=gram120)
+
+    def close(a, b):
+        return a == b or abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+    state = z0
+    for stage, rec in zip(sched.stages, report.stages):
+        pre = float(np.linalg.norm(state.coeffs))
+        at_window = semigroup(state, stage.passive)
+        seg, info = stage_control(at_window, stage.lam_cap, gram120,
+                                  stage.window, 1e-12,
+                                  t0=stage.start + stage.passive)
+        obs = window_observation(at_window, seg, gram120)
+        state = advance_window(at_window, seg, gram120)
+        fresh = (pre, float(np.linalg.norm(state.coeffs)), info.cost,
+                 info.cond_estimate, obs, info.rank_kept, info.dim)
+        got = (rec.pre_norm, rec.post_norm, rec.cost, rec.cond_estimate,
+               rec.obs_integral, rec.rank_kept, rec.dim)
+        assert all(map(close, got, fresh)), (stage.index, got, fresh)
 
 
 @settings(max_examples=200, deadline=None)

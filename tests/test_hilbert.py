@@ -10,12 +10,10 @@ from stokesheat import (
     BasisFormatError,
     BasisVersionError,
     FULL_REGION,
-    EigenBasis,
     InvalidArgumentError,
     ObservationRegion,
     StateVector,
     apply_B,
-    basis_state,
     inner,
     load_basis,
     norm,
@@ -28,8 +26,9 @@ from stokesheat import (
     zero_mode,
 )
 from stokesheat import hilbert
+from stokesheat.hilbert import basis_state
 from stokesheat.quadrature import trig_pair_integral
-from stokesheat.spectral import eval_mode
+from stokesheat.spectral import EigenBasis, eval_mode
 
 
 def random_state(basis, rng):
@@ -312,6 +311,24 @@ def test_load_missing_field(tmp_path, basis60):
     del doc["modes"][0]["lambda"]
     path.write_text(json.dumps(doc))
     with pytest.raises(BasisFormatError):
+        load_basis(path)
+
+
+def test_load_rejects_branch_that_disagrees_with_lambda(tmp_path, basis60):
+    path = tmp_path / "basis.json"
+    save_basis(basis60, path)
+    doc = json.loads(path.read_text())
+    rec = next(r for r in doc["modes"] if r["k"] >= 1)
+    flip = {"oscillatory": "evanescent", "evanescent": "oscillatory"}
+    rec["branch"] = flip[rec["branch"]]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BasisFormatError, match="branch"):
+        load_basis(path)
+    # a lambda inside the guard interval around k^2 has no branch at all
+    rec["branch"] = flip[rec["branch"]]
+    rec["lambda"] = float(rec["k"] ** 2)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BasisFormatError, match="degeneracy guard"):
         load_basis(path)
 
 

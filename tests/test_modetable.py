@@ -20,10 +20,10 @@ from stokesheat import (
     augmented_field,
     obs_gramian,
     rayleigh_matrix,
-    sampled_velocity_factor,
     trace_gramian,
 )
 from stokesheat import specineq
+from stokesheat.hilbert import sampled_velocity_factor
 from stokesheat.quadrature import (
     COS,
     GAUSS_NODES_X2,

@@ -9,15 +9,13 @@ from stokesheat import (
     InvalidArgumentError,
     Kernel,
     augmented_field,
-    kappa_sq_integral,
-    mineig_weighted_gramian,
     obs_gramian,
     residual_augmented,
     spec_ineq_report,
     trace_gramian,
-    weighted_gramian,
 )
 from stokesheat import specineq
+from stokesheat.specineq import mineig_weighted_gramian, weighted_gramian
 from stokesheat.hilbert import sampled_velocity_factor
 from stokesheat.quadrature import gauss_legendre
 from stokesheat.spectral import eval_mode
@@ -26,6 +24,12 @@ from stokesheat.spectral import eval_mode
 @pytest.fixture(scope="module")
 def kernel():
     return Kernel.default()
+
+
+def kappa_sq_integral(kernel):
+    """int kappa^2 ds by kernel_quadrature's m = 0 rule."""
+    s, w = specineq.kernel_quadrature(kernel)
+    return float(np.dot(w, kernel.kappa(s) ** 2))
 
 
 def test_kernel_validation():
@@ -123,14 +127,14 @@ def test_mineig_matches_eigh_when_resolvable(basis60, region_small, kernel):
         assert fac == pytest.approx(dense, rel=1e-6)
 
 
-def full_stack_mineig(basis, lam_cap, region, kernel, rtol=1e-10):
+def full_stack_mineig(basis, lam_cap, region, kernel):
     """The full-stack min-eig path the streamed one replaced: every weighted
     block materialized, then one QR.  The blocks are formed in place (the
     same products in the same order) to spare a stack-sized temporary.
     Returns min_eig and the condition number of the stacked factor."""
     idx = basis.low_indices(lam_cap)
     r_g = sampled_velocity_factor(basis, idx, region)
-    s, w = specineq.kernel_quadrature(kernel, rtol=rtol)
+    s, w = specineq.kernel_quadrature(kernel)
     cosh_w = np.cosh(np.outer(s, np.sqrt(basis.lambdas[idx])))
     f = np.empty((len(s), len(idx), len(idx)))
     np.multiply(r_g[None, :, :], cosh_w[:, None, :], out=f)
@@ -170,9 +174,9 @@ def test_mineig_refines_quadrature_for_the_cosh_growth(monkeypatch, basis60,
     seen = []
     real = specineq.kernel_quadrature
 
-    def spy(kern, m_max=0.0, rtol=1e-10):
+    def spy(kern, m_max=0.0):
         seen.append(m_max)
-        return real(kern, m_max, rtol)
+        return real(kern, m_max)
 
     monkeypatch.setattr(specineq, "kernel_quadrature", spy)
     mineig_weighted_gramian(basis60, 30.0, region_small, kernel)

@@ -9,23 +9,20 @@ from stokesheat import (
     InvalidBracketError,
     NotAnEigenvalueError,
     assemble_basis,
-    bracket_roots,
-    build_mode,
-    dispersion,
-    eval_mode,
     oracle_eigs,
-    refine_root,
     sector_eigenvalues,
     zero_mode,
 )
 from stokesheat import spectral
+from stokesheat.spectral import (bracket_roots, build_mode, dispersion,
+                                 eval_mode, refine_root)
 from stokesheat.quadrature import trig_pair_integral, COS
 
 
 def test_zero_mode_values():
     m = zero_mode(1)
     assert m.lam == pytest.approx(np.pi ** 2, abs=1e-12)
-    assert m.profile.amplitude == pytest.approx(1.0 / np.sqrt(np.pi), rel=1e-14)
+    assert m.amplitude == pytest.approx(1.0 / np.sqrt(np.pi), rel=1e-14)
     assert zero_mode(3).lam == pytest.approx(9 * np.pi ** 2, rel=1e-14)
     assert m.eta_trace == 0.0
 
@@ -35,7 +32,7 @@ def test_zero_mode_pointwise_identities():
     x1 = np.linspace(0.0, 2 * np.pi, 20, endpoint=False)
     x2 = np.linspace(0.0, 1.0, 20)
     u1, u2, p, eta = eval_mode(m, x1[:, None], x2[None, :])
-    amp = m.profile.amplitude
+    amp = m.amplitude
     assert np.abs(u1 - amp * np.sin(2 * np.pi * x2)[None, :]).max() <= 1e-12
     assert np.abs(u2).max() == 0.0
     assert np.abs(p).max() == 0.0
@@ -179,6 +176,23 @@ def test_refine_root_same_sign_error():
         refine_root(1, (2.0, 3.0))
 
 
+def test_build_settings_are_the_recorded_metadata(basis60):
+    meta = dict(basis60.metadata)
+    meta.pop("built_utc")
+    assert spectral.build_settings(60.0, basis60.k_range, 16, 1e-12) == meta
+
+
+def test_eigen_mode_is_one_flat_record(basis60):
+    # one record type for both sectors; the fields that do not apply are zero
+    zero = next(m for m in basis60.modes if m.k == 0)
+    stream = next(m for m in basis60.modes if m.k >= 1)
+    assert type(zero) is type(stream) is spectral.EigenMode
+    assert (zero.c, zero.norm_factor, zero.phase) == ((0.0,) * 4, 0.0, None)
+    assert stream.amplitude == 0.0 and stream.norm_factor > 0
+    assert not hasattr(spectral, "StreamProfile")
+    assert not hasattr(spectral, "ZeroModeProfile")
+
+
 def test_build_mode_unit_norm_and_residuals(basis60):
     lam = sector_eigenvalues(1, 10.0)[0]
     mode = build_mode(1, lam, "cosine", n=1)
@@ -188,9 +202,9 @@ def test_build_mode_unit_norm_and_residuals(basis60):
     from stokesheat.quadrature import gauss_legendre
 
     x, w = gauss_legendre(64, 0.0, 1.0)
-    phi = spectral.stream_eval(mode.profile, x)
-    dphi = spectral.stream_eval(mode.profile, x, 1)
-    phi1 = spectral.stream_eval(mode.profile, np.array(1.0))
+    phi = spectral.stream_eval(mode, x)
+    dphi = spectral.stream_eval(mode, x, 1)
+    phi1 = spectral.stream_eval(mode, np.array(1.0))
     total = np.pi * (np.dot(w, dphi ** 2 + phi ** 2) + phi1 ** 2)
     assert total == pytest.approx(1.0, abs=1e-8)
 
