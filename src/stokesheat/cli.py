@@ -126,13 +126,14 @@ def cmd_specineq(cfg, out):
                                  si.Kernel(cfg.kernel.s0, cfg.kernel.support))
     rows = [(r.lam_cutoff, r.dim, r.min_eig,
              (np.log(r.min_eig) if r.min_eig > 0 else float("nan")),
-             np.sqrt(r.lam_cutoff))
+             np.sqrt(r.lam_cutoff), r.kappa_f)
             for r in report.records]
     fit_note = (f"fit: slope={_fmt(report.slope)} "
                 f"intercept={_fmt(report.intercept)} "
                 f"r_squared={_fmt(report.r_squared)}")
     _write_table(out, "specineq", cfg,
-                 ("Lambda", "dim", "min_eig", "log_min_eig", "sqrt_Lambda"),
+                 ("Lambda", "dim", "min_eig", "log_min_eig", "sqrt_Lambda",
+                  "kappa_f"),
                  rows, preamble=("stokesheat specineq schema=1", fit_note))
     _write_json(os.path.join(out, "specineq_fit.json"),
                 {"slope": report.slope, "intercept": report.intercept,

@@ -196,12 +196,22 @@ _STACK_ROWS = 8192
 def stacked_factor_r(r_g, row_weights, col_scales):
     """Upper-triangular R of the stack [row_weights[j] r_g diag(col_scales[j])]_j.
 
+    The stack is the column-wise Kronecker (Khatri-Rao) product of r_g and
+    A[j, l] = row_weights[j] col_scales[j, l], so its Gram matrix is
+    (r_g^T r_g) o (A^T A).  With more blocks than columns, A is first
+    replaced by its n x n QR factor R_A, which has the same A^T A: the stack
+    shrinks to the n blocks r_g diag(R_A[p]), min(n_s, n) * n rows in all.
+    Householder QR is column-wise backward stable, so R keeps the
+    column-wise eps * kappa accuracy of the uncompressed stack.
+
     The blocks are streamed through an incremental QR, R <- qr([R; chunk])
     (TSQR), in one buffer of about ``_STACK_ROWS`` rows, so the working
-    memory is O(rows * n) whatever the number of blocks.  Each entry is
-    formed as the full stack would form it; only the QR's order differs.
+    memory is O(rows * n) whatever the number of blocks.
     """
     m, n = r_g.shape
+    if len(row_weights) > n:
+        col_scales = np.linalg.qr(row_weights[:, None] * col_scales, mode="r")
+        row_weights = np.ones(n)
     per = max(1, (_STACK_ROWS - n) // m)
     buf = np.empty((n + per * m, n))
     r = np.empty((0, n))
@@ -285,7 +295,7 @@ def _mode_record(mode):
 
 def _mode_from_record(rec):
     """The mode of a cache record; a k >= 1 record's ``branch`` must be the
-    one its lambda lies on."""
+    one its lambda lies on, and its phase cosine or sine (None at k = 0)."""
     try:
         k = int(rec["k"])
         lam = float(rec["lambda"])
@@ -301,8 +311,8 @@ def _mode_from_record(rec):
                     f"at k={k}")
             norm_factor, amplitude = float(rec["norm_factor"]), 0.0
         phase = rec["phase"]
-        if phase not in (None, COSINE, SINE):
-            raise BasisFormatError(f"unknown phase {phase!r}")
+        if phase not in ((None,) if k == 0 else (COSINE, SINE)):
+            raise BasisFormatError(f"phase {phase!r} is not valid at k={k}")
         return EigenMode(k=k, n=int(rec["n"]), lam=lam, phase=phase, c=c,
                          norm_factor=norm_factor, amplitude=amplitude,
                          eta_trace=float(rec["eta_trace"]))

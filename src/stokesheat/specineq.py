@@ -10,11 +10,15 @@ its smallest eigenvalue should shrink like exp(-C sqrt(Lambda)).
 The smallest eigenvalue of K spans a dynamic range far beyond what a dense
 symmetric eigensolver can resolve in double precision (lambda_max(K) grows
 like exp(2 s_max sqrt(Lambda))), so the report computes it as the squared
-smallest singular value of an explicit square-root factor of K built from
+smallest singular value of an explicit square-root factor F of K built from
 cancellation-free quadrature samples of the mode velocities; the singular
 value decomposition is backward stable, which halves the exponent of the
-resolvable range.  The dense K of :func:`weighted_gramian` is the
-small-cutoff reference the tests compare it against.
+resolvable range.  F stacks one weighted copy of the n x n velocity factor
+per kernel node; as a Khatri-Rao product it compresses to n such copies
+before its QR (:func:`stacked_factor_r`), and each min_eig is resolved to
+about 2 eps kappa(F) relative, which the report records per cutoff.  The
+dense K of :func:`weighted_gramian` is the small-cutoff reference the tests
+compare it against.
 
 The augmented field U(s, x) = sum a_j cosh(sqrt(lam_j) s) u_j(x) with its
 companion pressure turns the spectral sum into a harmonic-pressure elliptic
@@ -159,13 +163,27 @@ def weighted_gramian(basis, lam_cap, region, kernel):
     return m_sub * c
 
 
+class MinEig(float):
+    """A smallest eigenvalue of K that also carries ``kappa_f``, the condition
+    number sigma_max / sigma_min of the square-root factor it was read from:
+    the value is resolved to about 2 eps kappa_f relative."""
+
+    def __new__(cls, value, kappa_f):
+        self = super().__new__(cls, value)
+        self.kappa_f = kappa_f
+        return self
+
+
 def mineig_weighted_gramian(basis, lam_cap, region, kernel):
     """Smallest eigenvalue of K as the squared smallest singular value of a
-    square-root factor; resolves values far below eps * lambda_max(K).
+    square-root factor F; resolves values far below eps * lambda_max(K).
 
-    The factor stacks r_g diag(cosh(s sqrt(lam))) over the kernel's
-    quadrature nodes s, weighted by sqrt(w) kappa(s); it is streamed through
-    :func:`stacked_factor_r`, never held whole.
+    F stacks r_g diag(cosh(s sqrt(lam))) over the kernel's quadrature nodes
+    s, weighted by sqrt(w) kappa(s).  :func:`stacked_factor_r` never holds
+    it whole and first compresses its node blocks (512 in the README run)
+    to n, so the QR sees n * n rows.  The result is a :class:`MinEig`: a
+    float that also carries kappa(F), and 2 eps kappa(F) bounds the value's
+    relative error.
     """
     check_cutoff(basis, lam_cap)
     idx = basis.low_indices(lam_cap)
@@ -177,7 +195,8 @@ def mineig_weighted_gramian(basis, lam_cap, region, kernel):
     r_f = stacked_factor_r(r_g, np.sqrt(w) * kernel.kappa(s),
                            np.cosh(np.outer(s, q)))
     svals = np.linalg.svd(r_f, compute_uv=False)
-    return float(svals[-1] ** 2)
+    kappa_f = svals[0] / svals[-1] if svals[-1] > 0 else math.inf
+    return MinEig(svals[-1] ** 2, float(kappa_f))
 
 
 @dataclass(frozen=True)
@@ -187,6 +206,7 @@ class SpectralRecord:
     min_eig: float
     implied_constant: float
     violation: bool
+    kappa_f: float
 
 
 @dataclass(frozen=True)
@@ -216,7 +236,11 @@ def spec_ineq_report(basis, lam_list, region, kernel):
     constant C in the exp(C sqrt(Lambda)) observability degradation.  A
     cutoff is flagged as a violation when its minimum eigenvalue is not
     positive (the inequality guarantees positivity and the factor SVD
-    resolves it, so a flag points at a quadrature or basis defect).
+    resolves it, so a flag points at a quadrature or basis defect).  Each
+    record carries kappa_f = kappa(F) of its square-root factor (NaN where
+    no factor was built, or where the min_eig carries none): min_eig is
+    resolved to about 2 eps kappa_f relative, so a large kappa_f marks a
+    cutoff whose trailing digits are noise.
     """
     lam_list = [float(v) for v in lam_list]
     records = []
@@ -226,15 +250,18 @@ def spec_ineq_report(basis, lam_list, region, kernel):
             records.append(SpectralRecord(lam_cutoff=lam_cap, dim=0,
                                           min_eig=float("nan"),
                                           implied_constant=float("nan"),
-                                          violation=False))
+                                          violation=False,
+                                          kappa_f=float("nan")))
             continue
         min_eig = mineig_weighted_gramian(basis, lam_cap, region, kernel)
         implied = (-math.log(min_eig) / math.sqrt(lam_cap)
                    if min_eig > 0 else float("nan"))
         records.append(SpectralRecord(lam_cutoff=lam_cap, dim=len(idx),
-                                      min_eig=min_eig,
+                                      min_eig=float(min_eig),
                                       implied_constant=implied,
-                                      violation=not min_eig > 0))
+                                      violation=not min_eig > 0,
+                                      kappa_f=getattr(min_eig, "kappa_f",
+                                                      float("nan"))))
     usable = [r for r in records if r.dim > 0 and r.min_eig > 0]
     if len(usable) < 3:
         raise InvalidArgumentError(

@@ -113,6 +113,19 @@ def test_specineq_small_run(tmp_path):
     assert set(fit) >= {"slope", "intercept", "r_squared"}
     rows = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(rows) == 4  # header + 3 cutoffs
+    # kappa_f trails the columns earlier readers parse by position
+    assert rows[0] == "Lambda,dim,min_eig,log_min_eig,sqrt_Lambda,kappa_f"
+    kappas = [float(r.split(",")[5]) for r in rows[1:]]
+    assert all(k >= 1.0 for k in kappas)
+    code = run_cli(["specineq", "--lambda-max", "60",
+                    "--lambda-list", "10,25,50",
+                    "--region", "0,1.5707963267948966,0.4,0.6",
+                    "--format", "structured",
+                    "--out-dir", str(tmp_path / "structured")])
+    assert code == 0
+    doc = json.loads((tmp_path / "structured" / "specineq.json").read_text())
+    assert doc["columns"][5] == "kappa_f"
+    assert [r[5] for r in doc["rows"]] == kappas
 
 
 def test_observe_single_point(tmp_path):

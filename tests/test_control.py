@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh
 
 from stokesheat import (
     InvalidArgumentError,
@@ -332,6 +333,23 @@ def test_obs_constant_monotone_in_horizon(basis220, region_half):
               for t in np.linspace(0.1, 1.0, 10)]
     for a, b in zip(values[:-1], values[1:]):
         assert a >= b * (1 - 1e-12)
+
+
+def test_obs_constant_matches_dense_generalized_eigh(basis60):
+    # README observe region; a dense generalized eigensolve of the pair
+    # (diag(exp(-2 lam T)), O) resolves C_obs to about eps * cond(O)
+    region = ObservationRegion((0.0, 0.392699081698724), (0.47, 0.53))
+    gram = obs_gramian(basis60, region)
+    for lam_cap in (30.0, 60.0):
+        lams = basis60.lambdas[basis60.low_indices(lam_cap)]
+        for t_hor in (0.1, 0.4, 0.8):
+            o_mat = stage_gramian(basis60, lam_cap, gram, t_hor)
+            ref = eigh(np.diag(np.exp(-2.0 * lams * t_hor)), o_mat,
+                       eigvals_only=True)[-1]
+            o_eigs = np.linalg.eigvalsh(o_mat)
+            got = obs_constant(basis60, lam_cap, t_hor, region).value
+            assert (abs(got / ref - 1.0)
+                    <= 10.0 * np.finfo(float).eps * o_eigs[-1] / o_eigs[0])
 
 
 def test_obs_constant_rejects_cutoff_above_basis(basis60, region_half):

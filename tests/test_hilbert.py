@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from unittest import mock
 
@@ -332,6 +333,24 @@ def test_load_rejects_branch_that_disagrees_with_lambda(tmp_path, basis60):
         load_basis(path)
 
 
+def test_load_rejects_phase_that_does_not_fit_k(tmp_path, basis60):
+    path = tmp_path / "basis.json"
+    save_basis(basis60, path)
+    doc = json.loads(path.read_text())
+    # a null phase on a k >= 1 record would load as the other phase's mode
+    rec = next(r for r in doc["modes"] if r["k"] == 1 and r["phase"] == "cosine")
+    rec["phase"] = None
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BasisFormatError, match="phase"):
+        load_basis(path)
+    rec["phase"] = "cosine"
+    rec = next(r for r in doc["modes"] if r["k"] == 0)
+    rec["phase"] = "cosine"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BasisFormatError, match="phase"):
+        load_basis(path)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 9),
        blocks=st.sampled_from(["fewer", "one", "one_plus_one", "n_over_rows"]),
@@ -355,3 +374,41 @@ def test_stacked_factor_r_matches_full_stack_qr(n, blocks, seed):
     gram_ref = ref.T @ ref
     assert (np.abs(got.T @ got - gram_ref).max()
             <= 1e-12 * np.abs(gram_ref).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9),
+       blocks=st.sampled_from(["fewer", "equal", "more"]),
+       grading=st.sampled_from(["exp", "cosh"]),
+       decades=st.floats(8.0, 14.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_factor_r_compression_keeps_smallest_singular_value(
+        n, blocks, grading, decades, seed):
+    # the scales are graded like the exp(-t lam) and cosh(s q) columns of the
+    # observability and spectral-inequality stacks, over `decades` decades;
+    # "more" blocks than columns takes the compressed path
+    rng = np.random.default_rng(seed)
+    n_blocks = {"fewer": max(1, n - 1), "equal": n,
+                "more": int(rng.integers(n + 1, 4 * n + 2))}[blocks]
+    nodes = np.append(np.sort(rng.uniform(0.0, 1.0, n_blocks - 1)), 1.0)
+    rates = np.append(np.sort(rng.uniform(0.0, decades, n - 1)), decades)
+    rates *= math.log(10.0)
+    if grading == "exp":
+        scales = np.exp(-np.outer(nodes, rates))
+    else:
+        scales = np.cosh(np.outer(nodes, np.arccosh(np.exp(rates))))
+    r_g = np.triu(rng.standard_normal((n, n)))
+    weights = rng.uniform(0.1, 2.0, n_blocks)
+    with mock.patch.object(hilbert, "_STACK_ROWS", 48):
+        got = hilbert.stacked_factor_r(r_g, weights, scales)
+    full = (weights[:, None, None] * (r_g[None] * scales[:, None, :])).reshape(-1, n)
+    ref = np.linalg.qr(full, mode="r")
+    assert got.shape == ref.shape
+    gram_ref = ref.T @ ref
+    assert (np.abs(got.T @ got - gram_ref).max()
+            <= 1e-12 * np.abs(gram_ref).max())
+    s_ref = np.linalg.svd(full, compute_uv=False)
+    s_got = np.linalg.svd(got, compute_uv=False)
+    kappa_f = s_ref[0] / s_ref[-1]
+    assert (abs(s_got[-1] - s_ref[-1])
+            <= 16.0 * np.finfo(float).eps * kappa_f * s_ref[-1])

@@ -127,6 +127,20 @@ def test_mineig_matches_eigh_when_resolvable(basis60, region_small, kernel):
         assert fac == pytest.approx(dense, rel=1e-6)
 
 
+def test_mineig_matches_dense_eigvalsh_on_readme_basis(basis500, region_small,
+                                                      kernel):
+    # the README specineq basis and region, at the cutoffs where a dense
+    # eigvalsh still resolves min_eig, to about eps * lambda_max(K)
+    for lam_cap in (25.0, 50.0):
+        k_eigs = np.linalg.eigvalsh(
+            weighted_gramian(basis500, lam_cap, region_small, kernel))
+        got = mineig_weighted_gramian(basis500, lam_cap, region_small, kernel)
+        cond_k = k_eigs[-1] / k_eigs[0]
+        assert abs(got / k_eigs[0] - 1.0) <= 10.0 * np.finfo(float).eps * cond_k
+        # kappa(F)^2 = cond(K): the carried condition number is the factor's
+        assert got.kappa_f ** 2 == pytest.approx(cond_k, rel=1e-6)
+
+
 def full_stack_mineig(basis, lam_cap, region, kernel):
     """The full-stack min-eig path the streamed one replaced: every weighted
     block materialized, then one QR.  The blocks are formed in place (the
@@ -213,6 +227,8 @@ def test_report_positivity_monotone_fit(basis120, region_small, kernel):
     assert all(v > 0 for v in eigs)
     assert all(not r.violation for r in report.records)
     assert eigs == sorted(eigs, reverse=True)  # nonincreasing in the cutoff
+    kappas = [r.kappa_f for r in report.records]
+    assert all(1.0 <= k < np.inf for k in kappas) and kappas == sorted(kappas)
     assert report.r_squared >= 0.9
     assert report.slope > 0
 
