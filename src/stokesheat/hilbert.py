@@ -188,8 +188,8 @@ def sampled_velocity_factor(basis, indices, region):
     return np.linalg.qr(np.vstack(rows), mode="r")
 
 
-# rows of the working buffer of stacked_factor_r: 8192 was at least as fast
-# as 16384 or 32768 at Lambda = 400 and peaked at 137 MB where 32768 took 276
+# rows of the working buffer of stacked_factor_r, which bounds its working
+# memory to O(_STACK_ROWS * n)
 _STACK_ROWS = 8192
 
 
@@ -198,31 +198,28 @@ def stacked_factor_r(r_g, row_weights, col_scales):
 
     The stack is the column-wise Kronecker (Khatri-Rao) product of r_g and
     A[j, l] = row_weights[j] col_scales[j, l], so its Gram matrix is
-    (r_g^T r_g) o (A^T A).  With more blocks than columns, A is first
-    replaced by its n x n QR factor R_A, which has the same A^T A: the stack
-    shrinks to the n blocks r_g diag(R_A[p]), min(n_s, n) * n rows in all.
-    Householder QR is column-wise backward stable, so R keeps the
-    column-wise eps * kappa accuracy of the uncompressed stack.
+    (r_g^T r_g) o (A^T A).  A is first replaced by its QR factor R_A, which
+    has the same A^T A and min(n_s, n) rows: the stack becomes the blocks
+    r_g diag(R_A[p]), min(n_s, n) * n rows in all.  Householder QR is
+    column-wise backward stable, so R keeps the column-wise eps * kappa
+    accuracy of the uncompressed stack.
 
     The blocks are streamed through an incremental QR, R <- qr([R; chunk])
     (TSQR), in one buffer of about ``_STACK_ROWS`` rows, so the working
     memory is O(rows * n) whatever the number of blocks.
     """
     m, n = r_g.shape
-    if len(row_weights) > n:
-        col_scales = np.linalg.qr(row_weights[:, None] * col_scales, mode="r")
-        row_weights = np.ones(n)
+    r_a = np.linalg.qr(row_weights[:, None] * col_scales, mode="r")
     per = max(1, (_STACK_ROWS - n) // m)
     buf = np.empty((n + per * m, n))
     r = np.empty((0, n))
-    for start in range(0, len(row_weights), per):
-        weights = row_weights[start:start + per]
+    for start in range(0, len(r_a), per):
+        scales = r_a[start:start + per]
         top = len(r)
         buf[:top] = r
-        chunk = buf[top:top + len(weights) * m].reshape(len(weights), m, n)
-        np.multiply(r_g, col_scales[start:start + per, None, :], out=chunk)
-        chunk *= weights[:, None, None]
-        r = np.linalg.qr(buf[:top + len(weights) * m], mode="r")
+        chunk = buf[top:top + len(scales) * m].reshape(len(scales), m, n)
+        np.multiply(r_g, scales[:, None, :], out=chunk)
+        r = np.linalg.qr(buf[:top + len(scales) * m], mode="r")
     return r
 
 

@@ -238,9 +238,9 @@ def spec_ineq_report(basis, lam_list, region, kernel):
     positive (the inequality guarantees positivity and the factor SVD
     resolves it, so a flag points at a quadrature or basis defect).  Each
     record carries kappa_f = kappa(F) of its square-root factor (NaN where
-    no factor was built, or where the min_eig carries none): min_eig is
-    resolved to about 2 eps kappa_f relative, so a large kappa_f marks a
-    cutoff whose trailing digits are noise.
+    no factor was built): min_eig is resolved to about 2 eps kappa_f
+    relative, so a large kappa_f marks a cutoff whose trailing digits are
+    noise.
     """
     lam_list = [float(v) for v in lam_list]
     records = []
@@ -260,8 +260,7 @@ def spec_ineq_report(basis, lam_list, region, kernel):
                                       min_eig=float(min_eig),
                                       implied_constant=implied,
                                       violation=not min_eig > 0,
-                                      kappa_f=getattr(min_eig, "kappa_f",
-                                                      float("nan"))))
+                                      kappa_f=min_eig.kappa_f))
     usable = [r for r in records if r.dim > 0 and r.min_eig > 0]
     if len(usable) < 3:
         raise InvalidArgumentError(

@@ -386,7 +386,7 @@ def test_stacked_factor_r_compression_keeps_smallest_singular_value(
         n, blocks, grading, decades, seed):
     # the scales are graded like the exp(-t lam) and cosh(s q) columns of the
     # observability and spectral-inequality stacks, over `decades` decades;
-    # "more" blocks than columns takes the compressed path
+    # the block count falls below, at and above the column count
     rng = np.random.default_rng(seed)
     n_blocks = {"fewer": max(1, n - 1), "equal": n,
                 "more": int(rng.integers(n + 1, 4 * n + 2))}[blocks]

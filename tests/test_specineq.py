@@ -243,7 +243,9 @@ def test_nonpositive_min_eig_is_flagged(monkeypatch, basis120, region_small,
     real = specineq.mineig_weighted_gramian
 
     def zero_at_50(basis, lam_cap, *args, **kwargs):
-        return 0.0 if lam_cap == 50.0 else real(basis, lam_cap, *args, **kwargs)
+        if lam_cap == 50.0:
+            return specineq.MinEig(0.0, float("nan"))
+        return real(basis, lam_cap, *args, **kwargs)
 
     monkeypatch.setattr(specineq, "mineig_weighted_gramian", zero_at_50)
     report = spec_ineq_report(basis120, [25.0, 50.0, 75.0, 100.0],
