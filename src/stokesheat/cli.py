@@ -198,10 +198,6 @@ def cmd_control(cfg, out):
     basis = _get_basis(cfg, _stderr)
     sched = ct.make_schedule(cfg.schedule.t_horizon, cfg.schedule.gamma,
                              cfg.schedule.epsilon, cfg.schedule.lambda_cap)
-    if sched.max_lam_cap > basis.cutoff:
-        raise ConfigError(
-            f"schedule needs modes up to {sched.max_lam_cap:g} but "
-            f"basis.lambda_max is {basis.cutoff:g}")
     n_low = min(cfg.schedule.z0_modes, len(basis))
     rng = np.random.default_rng(cfg.schedule.seed)
     a = np.zeros(len(basis))

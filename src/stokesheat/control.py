@@ -20,7 +20,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import InvalidArgumentError, ObservabilityDefectError
 from .fitting import linear_fit
-from .hilbert import (StateVector, check_cutoff, check_gramian, obs_gramian,
+from .hilbert import (StateVector, check_gramian, obs_gramian,
                       sampled_velocity_factor, semigroup, stacked_factor_r)
 from .quadrature import gauss_legendre
 
@@ -48,10 +48,6 @@ class LRSchedule:
     def end(self):
         last = self.stages[-1]
         return last.start + last.tau
-
-    @property
-    def max_lam_cap(self):
-        return max(s.lam_cap for s in self.stages)
 
 
 def make_schedule(t_horizon, gamma, epsilon, lambda_cap):
@@ -103,7 +99,6 @@ def stage_gramian(basis, lam_cap, gramian, window):
     """
     if window <= 0:
         raise InvalidArgumentError("window length must be positive")
-    check_cutoff(basis, lam_cap)
     check_gramian(basis, gramian)
     idx = basis.low_indices(lam_cap)
     lams = basis.lambdas[idx]
@@ -187,20 +182,10 @@ def advance_window(state, segment, gramian):
 
 
 def _window_time_nodes(window, lam_max):
-    """Composite Gauss rule on [0, window], dyadically graded toward both
+    """Composite Gauss rule on [0, window], graded deep enough toward both
     endpoints to resolve the exp(-lam t) boundary layers."""
     depth = min(40, max(4, int(math.ceil(math.log2(max(window * lam_max, 2.0)))) + 2))
-    edges = {0.0, window}
-    for j in range(1, depth + 1):
-        edges.add(window * 2.0 ** -j)
-        edges.add(window * (1.0 - 2.0 ** -j))
-    edges = sorted(edges)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(16, lo, hi)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    return gauss_legendre(16, 0.0, window, depth)
 
 
 def window_observation(state, segment, gramian):
@@ -334,10 +319,6 @@ def run_lr(z0, schedule, basis, region, reg_threshold, gramian=None):
     hold along the realized trajectory.  A ``gramian`` passed in must be the
     observation Gramian of ``region``.
     """
-    if schedule.max_lam_cap > basis.cutoff:
-        raise InvalidArgumentError(
-            f"schedule needs modes up to {schedule.max_lam_cap}, basis stops "
-            f"at {basis.cutoff}")
     if gramian is None:
         gramian = obs_gramian(basis, region)
     elif gramian.region != region:
@@ -406,7 +387,6 @@ def obs_constant(basis, lam_cap, t_horizon, region, defect_threshold=1e-13):
     """
     if not t_horizon > 0:
         raise InvalidArgumentError("horizon must be positive")
-    check_cutoff(basis, lam_cap)
     idx = basis.low_indices(lam_cap)
     if len(idx) == 0:
         raise InvalidArgumentError(f"no modes at or below lam_cap {lam_cap!r}")

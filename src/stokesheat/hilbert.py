@@ -111,14 +111,6 @@ def check_gramian(basis, gramian):
     return gramian
 
 
-def check_cutoff(basis, lam_cap):
-    """Reject a cutoff above the basis cutoff: the modes past it are missing,
-    so any result for it would silently be the basis cutoff's."""
-    if lam_cap > basis.cutoff:
-        raise InvalidArgumentError(
-            f"lam_cap {lam_cap!r} exceeds the basis cutoff {basis.cutoff!r}")
-
-
 def inner(x, y):
     """H inner product; Parseval over the orthonormal basis."""
     _check_same_basis(x, y)
@@ -350,7 +342,8 @@ def save_basis(basis, path):
 
 
 def load_basis(path):
-    """Reload a basis cache; rejects version mismatch and malformed files."""
+    """Reload a basis cache; rejects version mismatch, malformed files and a
+    cutoff or lambda order that contradicts the build."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -369,4 +362,14 @@ def load_basis(path):
                            modes=modes, metadata=dict(doc["metadata"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise BasisFormatError(f"basis cache {path!r} is malformed: {exc}") from exc
+    built_for = basis.metadata.get("lambda_max")
+    if basis.cutoff != built_for:
+        raise BasisFormatError(f"basis cache {path!r}: cutoff {basis.cutoff!r} "
+                               f"is not the lambda_max {built_for!r} it was built for")
+    lams = basis.lambdas
+    if np.any(np.diff(lams) < 0):
+        raise BasisFormatError(f"basis cache {path!r}: lambda is not nondecreasing")
+    if np.any(lams > basis.cutoff):
+        raise BasisFormatError(f"basis cache {path!r}: lambda {float(lams.max())!r} "
+                               f"is above the cutoff {basis.cutoff!r}")
     return basis

@@ -27,11 +27,21 @@ def _reference_rule(n):
     return x, w
 
 
-def gauss_legendre(n, a, b):
-    """Gauss-Legendre nodes and weights on [a, b] (fresh arrays per call)."""
+def gauss_legendre(n, a, b, depth=0):
+    """Gauss-Legendre nodes and weights on [a, b] (fresh arrays per call).
+
+    At ``depth`` > 0 the rule is composite, n nodes per panel, with cuts at
+    a + (b - a) 2**-j and b - (b - a) 2**-j for j = 1..depth: graded
+    dyadically toward both ends to resolve boundary layers there.
+    """
     x, w = _reference_rule(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    edges = np.array([a, b], dtype=float)
+    if depth:
+        cuts = (b - a) * np.ldexp(1.0, -np.arange(1, depth + 1))
+        edges = np.unique(np.concatenate((edges, a + cuts, b - cuts)))
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def _int_cos(m, a, b):

@@ -34,8 +34,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fitting import linear_fit
-from .hilbert import (check_cutoff, obs_gramian, sampled_velocity_factor,
-                      stacked_factor_r)
+from .hilbert import obs_gramian, sampled_velocity_factor, stacked_factor_r
 from .quadrature import (COS, GAUSS_NODES_X2, gauss_legendre, trig_eval,
                          trig_pair_integral)
 
@@ -76,23 +75,6 @@ class Kernel:
         return out
 
 
-def _panel_nodes(a, b, n_per_panel, depth):
-    """Composite Gauss nodes on [a, b], dyadically refined toward both ends
-    (the bump vanishes to all orders there and exponential weights peak at
-    one end)."""
-    edges = {a, b}
-    for j in range(1, depth + 1):
-        edges.add(a + (b - a) * 2.0 ** -j)
-        edges.add(b - (b - a) * 2.0 ** -j)
-    edges = sorted(edges)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(n_per_panel, lo, hi)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 def kernel_quadrature(kernel, m_max=0.0):
     """Adaptive quadrature rule resolving kappa^2 * cosh(m s) for m <= m_max.
 
@@ -102,7 +84,7 @@ def kernel_quadrature(kernel, m_max=0.0):
     a, b = kernel.support
     prev = None
     for level in range(3, _QUAD_MAX_LEVEL):
-        s, w = _panel_nodes(a, b, 8 * level, 2 * level)
+        s, w = gauss_legendre(8 * level, a, b, 2 * level)
         k2 = kernel.kappa(s) ** 2
         probe0 = float(np.dot(w, k2))
         scaled = 0.5 * (np.exp(m_max * (s - b)) + np.exp(-m_max * (s + b)))
@@ -154,7 +136,6 @@ def cosh_pair_weights(kernel, sqrt_lams):
 def weighted_gramian(basis, lam_cap, region, kernel):
     """Dense kernel-weighted observation Gramian K on the modes with lam <=
     lam_cap: the small-cutoff reference for :func:`mineig_weighted_gramian`."""
-    check_cutoff(basis, lam_cap)
     idx = basis.low_indices(lam_cap)
     if len(idx) == 0:
         return np.zeros((0, 0))
@@ -185,7 +166,6 @@ def mineig_weighted_gramian(basis, lam_cap, region, kernel):
     float that also carries kappa(F), and 2 eps kappa(F) bounds the value's
     relative error.
     """
-    check_cutoff(basis, lam_cap)
     idx = basis.low_indices(lam_cap)
     if len(idx) == 0:
         raise InvalidArgumentError(f"no modes at or below lam_cap {lam_cap!r}")

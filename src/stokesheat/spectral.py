@@ -131,6 +131,12 @@ class EigenBasis:
         return h.hexdigest()
 
     def low_indices(self, lam_cap):
+        """Indices of the modes with lambda <= lam_cap.  A cap above the
+        cutoff is rejected: the modes past it are missing, so any result for
+        it would silently be the cutoff's."""
+        if lam_cap > self.cutoff:
+            raise InvalidArgumentError(
+                f"lam_cap {lam_cap!r} exceeds the basis cutoff {self.cutoff!r}")
         return np.nonzero(self.lambdas <= lam_cap)[0]
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -93,6 +94,24 @@ def test_eigens_corrupted_cache_rebuilds(tmp_path, capsys):
     from stokesheat import load_basis
 
     assert load_basis(cache).cutoff == 30.0
+
+
+def test_eigens_cache_with_edited_cutoff_rebuilds(tmp_path, capsys):
+    cache = tmp_path / "b.json"
+    args = ["eigens", "--lambda-max", "60", "--cache", str(cache)]
+    assert run_cli(args + ["--out-dir", str(tmp_path / "r1")]) == 0
+    doc = json.loads(cache.read_text())
+    doc["cutoff"] = 5000.0
+    cache.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(args + ["--out-dir", str(tmp_path / "r2")]) == 0
+    err = capsys.readouterr().err
+    assert "loaded basis from cache" not in err
+    assert "lambda_max" in err and "rebuilding" in err
+    for name in ("modes.csv", "orthonormality.json"):
+        assert ((tmp_path / "r1" / name).read_bytes()
+                == (tmp_path / "r2" / name).read_bytes())
+    assert json.loads(cache.read_text())["cutoff"] == 60.0
 
 
 def test_specineq_empty_sweep_usage_error(tmp_path):
@@ -197,10 +216,13 @@ def test_control_cap_below_first_eigenvalue(tmp_path):
     assert code == 1  # no effective control, pure decay misses the tolerance
 
 
-def test_control_insufficient_basis_is_config_error(tmp_path):
+def test_control_insufficient_basis_is_config_error(tmp_path, capsys):
     code = run_cli(["control", "--lambda-max", "80", "--lambda-cap", "1024",
                     "--out-dir", str(tmp_path)])
     assert code == 2
+    # the first stage whose cutoff the basis cannot serve is named
+    assert re.search(r"^invalid argument: lam_cap 181\.0\d* exceeds the basis "
+                     r"cutoff 80\.0$", capsys.readouterr().err, re.M)
 
 
 def test_structured_output_format(tmp_path):

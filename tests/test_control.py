@@ -352,6 +352,15 @@ def test_obs_constant_matches_dense_generalized_eigh(basis60):
                     <= 10.0 * np.finfo(float).eps * o_eigs[-1] / o_eigs[0])
 
 
+def test_stage_control_with_eig_rejects_cutoff_above_basis(basis60,
+                                                           region_half, rng):
+    gram = obs_gramian(basis60, region_half)
+    eig = np.linalg.eigh(stage_gramian(basis60, basis60.cutoff, gram, 0.1))
+    with pytest.raises(InvalidArgumentError, match="exceeds the basis cutoff"):
+        stage_control(unit_mix(basis60, rng, 5), 2.0 * basis60.cutoff, gram,
+                      0.1, 1e-12, gram_eig=eig)
+
+
 def test_obs_constant_rejects_cutoff_above_basis(basis60, region_half):
     with pytest.raises(InvalidArgumentError, match="exceeds the basis cutoff"):
         obs_constant(basis60, 5000.0, 0.5, region_half)

@@ -351,6 +351,40 @@ def test_load_rejects_phase_that_does_not_fit_k(tmp_path, basis60):
         load_basis(path)
 
 
+def _edited_cache(tmp_path, basis, edit):
+    path = tmp_path / "basis.json"
+    save_basis(basis, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_load_rejects_cutoff_other_than_lambda_max(tmp_path, basis60):
+    path = _edited_cache(tmp_path, basis60,
+                         lambda doc: doc.update(cutoff=5000.0))
+    with pytest.raises(BasisFormatError, match="lambda_max"):
+        load_basis(path)
+
+
+def test_load_rejects_unsorted_lambdas(tmp_path, basis60):
+    def swap(doc):
+        modes = doc["modes"]
+        modes[0], modes[-1] = modes[-1], modes[0]
+
+    with pytest.raises(BasisFormatError, match="nondecreasing"):
+        load_basis(_edited_cache(tmp_path, basis60, swap))
+
+
+def test_load_rejects_lambda_above_cutoff(tmp_path, basis60):
+    def lower_cutoff(doc):
+        doc["cutoff"] = doc["metadata"]["lambda_max"] = 50.0
+
+    assert basis60.lambdas.max() > 50.0
+    with pytest.raises(BasisFormatError, match="above the cutoff"):
+        load_basis(_edited_cache(tmp_path, basis60, lower_cutoff))
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 9),
        blocks=st.sampled_from(["fewer", "one", "one_plus_one", "n_over_rows"]),

@@ -277,6 +277,13 @@ def test_augmented_field_support_validation(basis60):
         augmented_field(basis60, a, 10.0, np.linspace(0, 1, 3))
 
 
+def test_augmented_field_rejects_cutoff_above_basis(basis60):
+    a = np.zeros(len(basis60))
+    a[0] = 1.0
+    with pytest.raises(InvalidArgumentError, match="exceeds the basis cutoff"):
+        augmented_field(basis60, a, 2.0 * basis60.cutoff, np.linspace(0, 1, 3))
+
+
 def test_augmented_boundary_values(basis60, rng):
     n_low = 10
     a = np.zeros(len(basis60))
