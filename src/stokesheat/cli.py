@@ -1,9 +1,10 @@
 """Command-line orchestration: eigens, specineq, observe, control, verify.
 
 Exit codes: 0 all checks pass, 1 numerical/acceptance failure, 2 usage or
-configuration error.  Outputs are UTF-8, LF-terminated, '.' decimal, floats
-with 17 significant digits, written atomically; identical configurations
-produce byte-identical outputs regardless of the thread count.
+configuration error, an unreadable or unwritable file included.  Outputs are
+UTF-8, LF-terminated, '.' decimal, floats with 17 significant digits, written
+atomically; identical configurations produce byte-identical outputs
+regardless of the thread count.
 """
 
 import argparse
@@ -222,12 +223,9 @@ def cmd_control(cfg, out):
         "initial_norm": report.initial_norm, "final_norm": report.final_norm,
         "final_ratio": ratio, "total_cost": report.total_cost,
         "telescoping_c1": report.c1,
-        "stages": [{"index": r.index, "tau": r.tau, "lambda": r.lam_cap,
-                    "clipped": r.clipped, "pre_norm": r.pre_norm,
-                    "post_norm": r.post_norm, "low_residual": r.low_residual,
-                    "cost": r.cost, "cond_estimate": r.cond_estimate,
-                    "obs_integral": r.obs_integral, "rank_kept": r.rank_kept,
-                    "dim": r.dim} for r in report.stages],
+        "stages": [{("lambda" if key == "lam_cap" else key): value
+                    for key, value in dataclasses.asdict(r).items()}
+                   for r in report.stages],
     }
     _write_json(os.path.join(out, "control_report.json"), doc)
     print(f"final/initial={ratio:.6e} total_cost={report.total_cost:.6e} "
@@ -383,6 +381,9 @@ def main(argv=None):
     except StokesHeatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -108,11 +108,10 @@ def stage_gramian(basis, lam_cap, gramian, window):
 
 @dataclass(frozen=True)
 class ControlSegment:
-    """One stage's control: f(t) = -sum_j c_j exp(-lam_j (t1 - t)) u_j|omega
-    on [t0, t1], zero elsewhere."""
+    """One stage's control: f(t) = -sum_j c_j exp(-lam_j (w - t)) u_j|omega
+    at time t in [0, w] from the start of a window of length w."""
 
-    t0: float
-    t1: float
+    window: float
     indices: np.ndarray
     amplitudes: np.ndarray
 
@@ -127,7 +126,7 @@ class StageSolveInfo:
 
 
 def stage_control(state, lam_cap, gramian, window, reg_threshold,
-                  gram_eig=None, t0=0.0):
+                  gram_eig=None):
     """Minimal-norm control steering the low-mode block to zero in ``window``.
 
     The target is mu = Pi_lam exp(-w A) z; amplitudes are c = G^+ mu with the
@@ -149,8 +148,7 @@ def stage_control(state, lam_cap, gramian, window, reg_threshold,
         info = StageSolveInfo(residual=float(np.linalg.norm(mu)), cost=0.0,
                               cond_estimate=float("inf"), rank_kept=0,
                               dim=len(idx))
-        return ControlSegment(t0=t0, t1=t0 + window, indices=idx,
-                              amplitudes=c), info
+        return ControlSegment(window=window, indices=idx, amplitudes=c), info
     keep = d > reg_threshold * d[-1]
     qk = q[:, keep]
     c = qk @ ((qk.T @ mu) / d[keep])
@@ -160,7 +158,7 @@ def stage_control(state, lam_cap, gramian, window, reg_threshold,
     info = StageSolveInfo(residual=resid, cost=max(cost, 0.0),
                           cond_estimate=cond, rank_kept=int(keep.sum()),
                           dim=len(idx))
-    return ControlSegment(t0=t0, t1=t0 + window, indices=idx, amplitudes=c), info
+    return ControlSegment(window=window, indices=idx, amplitudes=c), info
 
 
 def advance_window(state, segment, gramian):
@@ -172,13 +170,10 @@ def advance_window(state, segment, gramian):
     basis = state.basis
     check_gramian(basis, gramian)
     lams = basis.lambdas
-    w = segment.t1 - segment.t0
-    free = state.coeffs * np.exp(-lams * w)
-    if len(segment.indices) == 0 or not np.any(segment.amplitudes):
-        return StateVector(basis, free)
+    w = segment.window
     cols = gramian.matrix[:, segment.indices]
     forced = (cols * _exp_integral(lams, lams[segment.indices], w)) @ segment.amplitudes
-    return StateVector(basis, free - forced)
+    return StateVector(basis, state.coeffs * np.exp(-lams * w) - forced)
 
 
 def _window_time_nodes(window, lam_max):
@@ -197,19 +192,15 @@ def window_observation(state, segment, gramian):
     present.
     """
     basis = state.basis
+    m = check_gramian(basis, gramian).matrix
     lams = basis.lambdas
-    m = gramian.matrix
-    w = segment.t1 - segment.t0
+    w = segment.window
     t, wt = _window_time_nodes(w, float(lams.max()) if len(lams) else 1.0)
-    decay = np.exp(-np.outer(lams, t))
-    if len(segment.indices) and np.any(segment.amplitudes):
-        lam_in = lams[segment.indices]
-        gamma = ((m[:, segment.indices] * segment.amplitudes)
-                 / np.add.outer(lams, lam_in))
-        alpha = state.coeffs + gamma @ np.exp(-lam_in * w)
-        traj = decay * alpha[:, None] - gamma @ np.exp(-np.outer(lam_in, w - t))
-    else:
-        traj = decay * state.coeffs[:, None]
+    lam_in = lams[segment.indices]
+    gamma = (m[:, segment.indices] * segment.amplitudes) / np.add.outer(lams, lam_in)
+    alpha = state.coeffs + gamma @ np.exp(-lam_in * w)
+    traj = (np.exp(-np.outer(lams, t)) * alpha[:, None]
+            - gamma @ np.exp(-np.outer(lam_in, w - t)))
     q = np.einsum("lt,lt->t", traj, m @ traj)
     return float(np.dot(wt, q))
 
@@ -316,9 +307,11 @@ def run_lr(z0, schedule, basis, region, reg_threshold, gramian=None):
     ``cond_estimate`` are the first window's.  The modal trajectory is exact,
     so the recorded norms carry no time-stepping error.  The report also
     fits the smallest constant making the dyadic telescoping inequalities
-    hold along the realized trajectory.  A ``gramian`` passed in must be the
-    observation Gramian of ``region``.
+    hold along the realized trajectory.  A schedule whose largest cutoff the
+    basis cannot serve is rejected before any work; a ``gramian`` passed in
+    must be the observation Gramian of ``region``.
     """
+    basis.low_indices(max(stage.lam_cap for stage in schedule.stages))
     if gramian is None:
         gramian = obs_gramian(basis, region)
     elif gramian.region != region:
@@ -338,7 +331,7 @@ def run_lr(z0, schedule, basis, region, reg_threshold, gramian=None):
             eig_cache[stage.lam_cap] = np.linalg.eigh(g)
         segment, info = stage_control(
             at_window, stage.lam_cap, gramian, stage.window, reg_threshold,
-            gram_eig=eig_cache[stage.lam_cap], t0=stage.start + stage.passive)
+            gram_eig=eig_cache[stage.lam_cap])
         obs = window_observation(at_window, segment, gramian)
         state = advance_window(at_window, segment, gramian)
         post = float(np.linalg.norm(state.coeffs))

@@ -220,9 +220,30 @@ def test_control_insufficient_basis_is_config_error(tmp_path, capsys):
     code = run_cli(["control", "--lambda-max", "80", "--lambda-cap", "1024",
                     "--out-dir", str(tmp_path)])
     assert code == 2
-    # the first stage whose cutoff the basis cannot serve is named
-    assert re.search(r"^invalid argument: lam_cap 181\.0\d* exceeds the basis "
+    # the schedule's largest cutoff is named, so raising --lambda-max to it
+    # is enough
+    assert re.search(r"^invalid argument: lam_cap 1024\.0 exceeds the basis "
                      r"cutoff 80\.0$", capsys.readouterr().err, re.M)
+
+
+def test_cache_in_missing_directory_is_usage_error(tmp_path, capsys):
+    code = run_cli(["eigens", "--lambda-max", "30", "--cache",
+                    str(tmp_path / "missing" / "b.json"),
+                    "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert re.search(r"^error: .*missing", err, re.M)
+
+
+def test_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    code = run_cli(["eigens", "--lambda-max", "30", "--out-dir", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert re.search(r"^error: .*taken", err, re.M)
 
 
 def test_structured_output_format(tmp_path):

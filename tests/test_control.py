@@ -11,6 +11,7 @@ from stokesheat import (
     ObservabilityDefectError,
     ObservationRegion,
     StateVector,
+    assemble_basis,
     cost_and_constant_fit,
     make_schedule,
     obs_constant,
@@ -23,7 +24,8 @@ from stokesheat import (
     zero_mode,
 )
 from stokesheat import FULL_REGION
-from stokesheat.control import (ControlSegment, _exp_integral, advance_window,
+from stokesheat.control import (ControlSegment, _exp_integral,
+                                _window_time_nodes, advance_window,
                                 window_observation)
 from stokesheat.spectral import EigenBasis
 
@@ -164,8 +166,8 @@ def test_advance_zero_control_is_semigroup(basis60, region_half, rng):
     sched = make_schedule(1.0, 1.5, 0.5, 30.0)
     stage = sched.stages[0]
     state = unit_mix(basis60, rng, len(basis60))
-    empty = ControlSegment(t0=stage.passive, t1=stage.tau,
-                           indices=np.zeros(0, dtype=int), amplitudes=np.zeros(0))
+    empty = ControlSegment(window=stage.window, indices=np.zeros(0, dtype=int),
+                           amplitudes=np.zeros(0))
     out = advance_window(semigroup(state, stage.passive), empty, gram)
     ref = semigroup(state, stage.tau)
     assert np.abs(out.coeffs - ref.coeffs).max() <= 1e-15
@@ -213,7 +215,7 @@ def test_window_observation_free_and_controlled(basis60, region_half, rng):
     state = unit_mix(basis60, rng, len(basis60))
     w = 0.2
     # free trajectory: closed form is a^T (M * E(w)) a
-    seg0 = ControlSegment(t0=0.0, t1=w, indices=np.array([], dtype=int),
+    seg0 = ControlSegment(window=w, indices=np.array([], dtype=int),
                           amplitudes=np.array([]))
     got = window_observation(state, seg0, gram)
     lams = basis60.lambdas
@@ -243,11 +245,75 @@ def test_run_lr_zero_state(basis120, region_half):
     assert np.abs(zT.coeffs).max() == 0.0
 
 
-def test_run_lr_cutoff_validation(basis60, region_half):
+def test_run_lr_cutoff_validation(basis60, region_half, monkeypatch):
+    import stokesheat.control as control
+
+    calls = []
+    for name in ("obs_gramian", "stage_control"):
+        real = getattr(control, name)
+        monkeypatch.setattr(control, name,
+                            lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
     sched = make_schedule(1.0, 1.5, 0.5, 1024.0)
     z0 = StateVector(basis60, np.zeros(len(basis60)))
-    with pytest.raises(InvalidArgumentError):
+    # the largest stage cap is named, and no stage runs before the rejection
+    with pytest.raises(InvalidArgumentError, match="lam_cap 1024"):
         run_lr(z0, sched, basis60, region_half, 1e-12)
+    assert calls == []
+
+
+def test_run_lr_segments_carry_the_stage_window(basis120, region_half,
+                                                gram120, rng, monkeypatch):
+    import stokesheat.control as control
+
+    seen = {"advance_window": [], "window_observation": []}
+    for name, segments in seen.items():
+        real = getattr(control, name)
+        monkeypatch.setattr(control, name,
+                            lambda state, seg, gram, _real=real, _segs=segments:
+                            _segs.append(seg) or _real(state, seg, gram))
+    # epsilon 0.4: stage start + passive + window is not exactly start + tau
+    sched = make_schedule(1.0, 1.5, 0.4, 100.0)
+    run_lr(unit_mix(basis120, rng, 20), sched, basis120, region_half, 1e-12,
+           gramian=gram120)
+    for segments in seen.values():
+        assert [s.window for s in segments] == [s.window for s in sched.stages]
+
+
+def test_zero_control_segment_is_free_decay(basis60, region_half, rng):
+    # the general propagation formulas reproduce free decay bit for bit when
+    # the control vanishes, whether or not the segment names any modes
+    gram = obs_gramian(basis60, region_half)
+    lams = basis60.lambdas
+    for n_idx in (0, 1, 7, len(basis60)):
+        for w in (1e-4, 0.0375, 0.2, 0.7):
+            state = unit_mix(basis60, rng, len(basis60))
+            seg = ControlSegment(window=w, indices=np.arange(n_idx),
+                                 amplitudes=np.zeros(n_idx))
+            out = advance_window(state, seg, gram)
+            assert np.array_equal(out.coeffs, state.coeffs * np.exp(-lams * w))
+            t, wt = _window_time_nodes(w, float(lams.max()))
+            traj = np.exp(-np.outer(lams, t)) * state.coeffs[:, None]
+            free = float(np.dot(wt, np.einsum("lt,lt->t", traj,
+                                              gram.matrix @ traj)))
+            assert window_observation(state, seg, gram) == free
+
+
+def test_window_observation_rejects_gramian_of_another_basis(basis60,
+                                                             region_half, rng):
+    other = assemble_basis(60.0, density=32)
+    assert len(other) == len(basis60)
+    assert other.basis_id != basis60.basis_id
+    state = unit_mix(basis60, rng, 5)
+    seg = ControlSegment(window=0.1, indices=np.zeros(0, dtype=int),
+                         amplitudes=np.zeros(0))
+    # same size: used silently with the wrong basis unless checked
+    with pytest.raises(InvalidArgumentError, match="different basis"):
+        window_observation(state, seg, obs_gramian(other, region_half))
+    # another size: numpy's broadcast error unless checked
+    with pytest.raises(InvalidArgumentError, match="different basis"):
+        window_observation(state, seg,
+                           obs_gramian(assemble_basis(30.0), region_half))
 
 
 def test_run_lr_single_mode_stage_trace(basis120, region_half):
@@ -432,8 +498,7 @@ def test_run_lr_stage_records_match_fresh_stage_control(basis120, region_half,
         pre = float(np.linalg.norm(state.coeffs))
         at_window = semigroup(state, stage.passive)
         seg, info = stage_control(at_window, stage.lam_cap, gram120,
-                                  stage.window, 1e-12,
-                                  t0=stage.start + stage.passive)
+                                  stage.window, 1e-12)
         obs = window_observation(at_window, seg, gram120)
         state = advance_window(at_window, seg, gram120)
         fresh = (pre, float(np.linalg.norm(state.coeffs)), info.cost,
