@@ -9,6 +9,7 @@ regardless of the thread count.
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -72,6 +73,10 @@ def _get_basis(cfg, log):
     """Build the eigenbasis, or reload a cache built with the same settings."""
     cache = cfg.io.cache_path
     want = cfg.basis
+    if cache and not os.path.isdir(os.path.dirname(cache) or "."):
+        # saving would find this only after the build, under a temporary name
+        raise FileNotFoundError(errno.ENOENT, "no directory for the basis cache",
+                                cache)
     if cache and os.path.exists(cache):
         try:
             basis = hb.load_basis(cache)
@@ -102,7 +107,7 @@ def cmd_eigens(cfg, out):
     _write_table(out, "modes", cfg, ("k", "n", "phase", "lambda"), rows,
                  preamble=("stokesheat modes schema=1",))
     gram_full = hb.obs_gramian(basis, hb.FULL_REGION).matrix + hb.trace_gramian(basis)
-    dev = float(np.abs(gram_full - np.eye(len(basis))).max())
+    dev = float(np.abs(gram_full - np.eye(len(basis))).max(initial=0.0))
     lams = basis.lambdas
     report = {
         "modes": len(basis),

@@ -134,12 +134,6 @@ def project(x, lam_cap):
     return StateVector(x.basis, np.where(keep, x.coeffs, 0.0))
 
 
-def basis_state(basis, j):
-    a = np.zeros(len(basis))
-    a[j] = 1.0
-    return StateVector(basis, a)
-
-
 def obs_gramian(basis, region):
     """Velocity observation Gramian M[j, l] = int_omega u_j . u_l dx."""
     x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)

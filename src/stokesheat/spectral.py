@@ -51,7 +51,7 @@ from .errors import (
     MultiplicityError,
     NotAnEigenvalueError,
 )
-from .quadrature import COS, SIN, GAUSS_NODES_X2, gauss_legendre, trig_eval
+from .quadrature import COS, SIN, GAUSS_NODES_X2, gauss_legendre
 
 TWO_PI = 2.0 * np.pi
 
@@ -292,17 +292,16 @@ def refine_root(k, bracket, tol=1e-12):
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 < lo < hi:
         raise InvalidBracketError(f"bad bracket ({lo!r}, {hi!r})")
-    f_lo = dispersion(k, lo)
-    f_hi = dispersion(k, hi)
-    if np.sign(f_lo) * np.sign(f_hi) >= 0:
-        raise InvalidBracketError(
-            f"dispersion has the same sign at both endpoints of ({lo}, {hi})")
-    mid = 0.5 * (lo + hi)
-    if hi - lo <= tol * mid:
-        return mid
     rtol = max(tol, 4 * np.finfo(float).eps)
-    return brentq(lambda lam: dispersion(k, lam), lo, hi,
-                  xtol=tol * lo, rtol=rtol)
+    try:
+        return brentq(lambda lam: dispersion(k, lam), lo, hi,
+                      xtol=tol * lo, rtol=rtol)
+    except InvalidArgumentError:
+        raise
+    except ValueError as exc:
+        # brentq's own endpoint evaluations are the sign check
+        raise InvalidBracketError(
+            f"no sign change of the dispersion over ({lo}, {hi}): {exc}") from exc
 
 
 def _stream_norm(k, lam, c):
@@ -357,60 +356,13 @@ def zero_mode(n):
                      norm_factor=0.0, amplitude=amp, eta_trace=0.0)
 
 
-def stream_eval(mode, x2, deriv=0):
-    """d^deriv phi / dx2^deriv of a k >= 1 mode from its stored coefficients,
-    normalized."""
-    c = np.asarray(mode.c)
-    rows = _fundamental(mode.k, mode.lam, np.asarray(x2, float), deriv)
-    return np.tensordot(c, rows, axes=(0, 0)) * mode.norm_factor
-
-
-def mode_x1_trig(mode, component):
-    """(kind, wavenumber) of the x1 factor of a field component.
-
-    ``component`` is one of "u1", "u2", "p", "eta".  For k = 0 the u1 factor
-    is the constant 1 and the others vanish identically (their profile
-    factor is zero).
-    """
-    if mode.k == 0:
-        return (COS, 0)
-    if component == "u1":
-        return (SIN, mode.k) if mode.phase == COSINE else (COS, mode.k)
-    return (COS, mode.k) if mode.phase == COSINE else (SIN, mode.k)
-
-
-def mode_profile(mode, x2, component, deriv=0):
-    """x2-dependent factor of a field component, derivative order ``deriv``.
-
-    The factor includes the mode's normalization and phase sign, so a field
-    value is  profile(x2) * trig(x1)  with the trig factor from
-    :func:`mode_x1_trig`.
-    """
-    x2 = np.asarray(x2, dtype=float)
-    if mode.k == 0:
-        if component == "u1":
-            npi = mode.n * np.pi
-            return mode.amplitude * npi ** deriv * np.sin(npi * x2 + deriv * 0.5 * np.pi)
-        return np.zeros(x2.shape)
-    k = mode.k
-    if component == "u1":
-        sign = -1.0 if mode.phase == COSINE else 1.0
-        return sign / k * stream_eval(mode, x2, deriv + 1)
-    if component == "u2":
-        return stream_eval(mode, x2, deriv)
-    if component == "p":
-        return (stream_eval(mode, x2, deriv + 3)
-                + (mode.lam - k * k) * stream_eval(mode, x2, deriv + 1)) / k ** 2
-    raise InvalidArgumentError(f"unknown component {component!r}")
-
-
 class ModeTable:
     """The modes of a basis as read-only arrays, evaluated all at once.
 
     Row j holds ``modes[j]``'s k, n, lam, phase (``sine``), branch
     (``oscillatory``: lam > k**2), stream ``c`` and ``norm_factor``, k = 0
     ``amplitude`` and ``eta_trace`` (zero where a field does not apply).
-    Every row is bit-identical to :func:`mode_x1_trig` / :func:`mode_profile`.
+    This is the only evaluator of mode fields.
     """
 
     def __init__(self, modes):
@@ -430,12 +382,13 @@ class ModeTable:
         self.eta_trace = col(lambda m: m.eta_trace)
 
     def x1_trig(self, component):
-        """(kinds, waves) of every mode's x1 factor, as :func:`mode_x1_trig`."""
+        """(kinds, waves) of every mode's x1 factor for ``component`` ("u1",
+        "u2", "p" or "eta"); a k = 0 mode's factor is the constant cos(0)."""
         cos_phase = self.sine if component == "u1" else ~self.sine
         return np.where(cos_phase | (self.k == 0), COS, SIN), self.k.astype(float)
 
     def _stream(self, x2, deriv):
-        """:func:`stream_eval` of the k >= 1 rows."""
+        """d^deriv phi / dx2^deriv of the k >= 1 rows, normalized."""
         st = self.k > 0
         k, lam, osc = self.k[st], self.lam[st], self.oscillatory[st]
         s = np.sqrt(np.abs(lam - k.astype(float) * k))
@@ -443,14 +396,14 @@ class ModeTable:
         for oscillatory in (True, False):
             on = osc == oscillatory
             rows[on] = _fundamental_rows(k[on], s[on], oscillatory, x2, deriv)
-        # the stacked matmul reproduces the per-mode tensordot bit for bit,
+        # the stacked matmul reproduces a single mode's tensordot bit for bit,
         # einsum does not
         vals = np.matmul(self.c[st][:, None, :], rows)[:, 0, :]
         return vals * self.norm_factor[st][:, None]
 
     def profiles(self, x2, component, deriv=0):
         """x2 factors of ``component`` for every mode at the points ``x2``,
-        shape (n_modes, len(x2)); row j is ``mode_profile(modes[j], ...)``."""
+        shape (n_modes, len(x2)), normalization and phase sign included."""
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
         out = np.zeros((len(self.k), len(x2)))
         zero, st = self.k == 0, self.k > 0
@@ -470,27 +423,6 @@ class ModeTable:
         else:
             raise InvalidArgumentError(f"unknown component {component!r}")
         return out
-
-
-def eval_mode(mode, x1, x2):
-    """Pointwise field values (u1, u2, p, eta) of a mode.
-
-    Exact analytic evaluation; accepts scalars or broadcastable arrays with
-    x1 in [0, 2pi) and x2 in [0, 1].
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if np.any(x1 < 0) or np.any(x1 >= TWO_PI):
-        raise InvalidArgumentError("x1 must lie in [0, 2*pi)")
-    if np.any(x2 < 0) or np.any(x2 > 1):
-        raise InvalidArgumentError("x2 must lie in [0, 1]")
-    t1 = trig_eval(*mode_x1_trig(mode, "u1"), x1)
-    t2 = trig_eval(*mode_x1_trig(mode, "u2"), x1)
-    u1 = mode_profile(mode, x2, "u1") * t1
-    u2 = mode_profile(mode, x2, "u2") * t2
-    p = mode_profile(mode, x2, "p") * t2
-    eta = mode.eta_trace * t2
-    return u1, u2, p, eta
 
 
 def sector_eigenvalues(k, lam_max, density=16, tol=1e-12):
@@ -560,47 +492,3 @@ def assemble_basis(lam_max, k_max=None, density=16, tol=1e-12, threads=1):
     return EigenBasis(cutoff=float(lam_max), k_range=int(k_max),
                       modes=tuple(modes), metadata=metadata)
 
-
-def boundary_residuals(mode):
-    """Max residuals of the five mode equations on a 20 x 20 sample grid.
-
-    Returns a dict of sup-norm residuals (momentum_x1, momentum_x2,
-    divergence, dirichlet, ventcel) normalized by the largest field value;
-    used by the invariant tests.
-    """
-    x1 = np.linspace(0.0, TWO_PI, 20, endpoint=False)
-    x2 = np.linspace(0.0, 1.0, 20)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    lam = mode.lam
-    t1k, t1w = mode_x1_trig(mode, "u1")
-    t2k, t2w = mode_x1_trig(mode, "u2")
-    T1 = trig_eval(t1k, t1w, X1)
-    T2 = trig_eval(t2k, t2w, X1)
-    dT1 = trig_eval(t1k, t1w, X1, deriv=1)
-    dT2 = trig_eval(t2k, t2w, X1, deriv=1)
-    d2T1 = trig_eval(t1k, t1w, X1, deriv=2)
-    d2T2 = trig_eval(t2k, t2w, X1, deriv=2)
-
-    a0 = mode_profile(mode, x2, "u1")[None, :]
-    a2 = mode_profile(mode, x2, "u1", deriv=2)[None, :]
-    b0 = mode_profile(mode, x2, "u2")[None, :]
-    b1 = mode_profile(mode, x2, "u2", deriv=1)[None, :]
-    b2 = mode_profile(mode, x2, "u2", deriv=2)[None, :]
-    p0 = mode_profile(mode, x2, "p")[None, :]
-    p1 = mode_profile(mode, x2, "p", deriv=1)[None, :]
-
-    u1 = a0 * T1
-    u2 = b0 * T2
-    scale = max(np.abs(u1).max(), np.abs(u2).max(), np.abs(p0 * T2).max(), 1e-300)
-    mom1 = -lam * u1 - (a0 * d2T1 + a2 * T1) + p0 * dT2
-    mom2 = -lam * u2 - (b0 * d2T2 + b2 * T2) + p1 * T2
-    div = a0 * dT1 + b1 * T2
-    top = -lam * b0[0, -1] * T2[:, -1] - b0[0, -1] * d2T2[:, -1] - p0[0, -1] * T2[:, -1]
-    dir_walls = [np.abs(u1[:, 0]).max(), np.abs(u2[:, 0]).max(), np.abs(u1[:, -1]).max()]
-    return {
-        "momentum_x1": np.abs(mom1).max() / scale,
-        "momentum_x2": np.abs(mom2).max() / scale,
-        "divergence": np.abs(div).max() / scale,
-        "dirichlet": max(dir_walls) / scale,
-        "ventcel": np.abs(top).max() / scale,
-    }

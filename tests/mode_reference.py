@@ -1,0 +1,90 @@
+"""Per-mode reference evaluator of eigenmode fields, for the tests.
+
+The package evaluates modes only through ``EigenBasis.table`` (a
+:class:`stokesheat.spectral.ModeTable`).  These functions evaluate one mode
+at a time with the single-mode arithmetic the table must reproduce bit for
+bit (the stream coefficients contracted by ``tensordot``), and back the
+brute-force quadratures the Gramian tests compare against.
+"""
+
+import numpy as np
+
+from stokesheat.errors import InvalidArgumentError
+from stokesheat.hilbert import StateVector
+from stokesheat.quadrature import COS, SIN, trig_eval
+from stokesheat.spectral import COSINE, TWO_PI, _fundamental
+
+
+def stream_eval(mode, x2, deriv=0):
+    """d^deriv phi / dx2^deriv of a k >= 1 mode from its stored coefficients,
+    normalized."""
+    c = np.asarray(mode.c)
+    rows = _fundamental(mode.k, mode.lam, np.asarray(x2, float), deriv)
+    return np.tensordot(c, rows, axes=(0, 0)) * mode.norm_factor
+
+
+def mode_x1_trig(mode, component):
+    """(kind, wavenumber) of the x1 factor of a field component.
+
+    ``component`` is one of "u1", "u2", "p", "eta".  For k = 0 the u1 factor
+    is the constant 1 and the others vanish identically (their profile
+    factor is zero).
+    """
+    if mode.k == 0:
+        return (COS, 0)
+    if component == "u1":
+        return (SIN, mode.k) if mode.phase == COSINE else (COS, mode.k)
+    return (COS, mode.k) if mode.phase == COSINE else (SIN, mode.k)
+
+
+def mode_profile(mode, x2, component, deriv=0):
+    """x2-dependent factor of a field component, derivative order ``deriv``.
+
+    The factor includes the mode's normalization and phase sign, so a field
+    value is  profile(x2) * trig(x1)  with the trig factor from
+    :func:`mode_x1_trig`.
+    """
+    x2 = np.asarray(x2, dtype=float)
+    if mode.k == 0:
+        if component == "u1":
+            npi = mode.n * np.pi
+            return mode.amplitude * npi ** deriv * np.sin(npi * x2 + deriv * 0.5 * np.pi)
+        return np.zeros(x2.shape)
+    k = mode.k
+    if component == "u1":
+        sign = -1.0 if mode.phase == COSINE else 1.0
+        return sign / k * stream_eval(mode, x2, deriv + 1)
+    if component == "u2":
+        return stream_eval(mode, x2, deriv)
+    if component == "p":
+        return (stream_eval(mode, x2, deriv + 3)
+                + (mode.lam - k * k) * stream_eval(mode, x2, deriv + 1)) / k ** 2
+    raise InvalidArgumentError(f"unknown component {component!r}")
+
+
+def eval_mode(mode, x1, x2):
+    """Pointwise field values (u1, u2, p, eta) of a mode.
+
+    Exact analytic evaluation; accepts scalars or broadcastable arrays with
+    x1 in [0, 2pi) and x2 in [0, 1].
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if np.any(x1 < 0) or np.any(x1 >= TWO_PI):
+        raise InvalidArgumentError("x1 must lie in [0, 2*pi)")
+    if np.any(x2 < 0) or np.any(x2 > 1):
+        raise InvalidArgumentError("x2 must lie in [0, 1]")
+    t1 = trig_eval(*mode_x1_trig(mode, "u1"), x1)
+    t2 = trig_eval(*mode_x1_trig(mode, "u2"), x1)
+    u1 = mode_profile(mode, x2, "u1") * t1
+    u2 = mode_profile(mode, x2, "u2") * t2
+    p = mode_profile(mode, x2, "p") * t2
+    eta = mode.eta_trace * t2
+    return u1, u2, p, eta
+
+
+def basis_state(basis, j):
+    """The unit state of mode j."""
+    a = np.zeros(len(basis))
+    a[j] = 1.0
+    return StateVector(basis, a)

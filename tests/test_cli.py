@@ -236,6 +236,38 @@ def test_cache_in_missing_directory_is_usage_error(tmp_path, capsys):
     assert re.search(r"^error: .*missing", err, re.M)
 
 
+def test_cache_directory_checked_before_the_build(tmp_path, capsys,
+                                                  monkeypatch):
+    from stokesheat import spectral
+
+    builds = []
+    true_assemble = spectral.assemble_basis
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return true_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "assemble_basis", counting)
+    cache = str(tmp_path / "missing" / "b.json")
+    code = run_cli(["eigens", "--lambda-max", "30", "--cache", cache,
+                    "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert builds == []
+    assert cache in err
+    assert ".tmp." not in err
+
+
+def test_eigens_empty_basis(tmp_path, capsys):
+    # no eigenvalue lies below pi^2, so the basis has no modes
+    code = run_cli(["eigens", "--lambda-max", "3", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert ("modes=0 max|Gram-I|=0.000e+00 pass=True"
+            in capsys.readouterr().out.splitlines())
+    assert (tmp_path / "modes.csv").read_text().splitlines() == [
+        "# stokesheat modes schema=1", "k,n,phase,lambda"]
+
+
 def test_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "taken"
     path.write_text("")

@@ -27,9 +27,10 @@ from stokesheat import (
     zero_mode,
 )
 from stokesheat import hilbert
-from stokesheat.hilbert import basis_state
 from stokesheat.quadrature import trig_pair_integral
-from stokesheat.spectral import EigenBasis, eval_mode
+from stokesheat.spectral import EigenBasis
+
+from mode_reference import basis_state, eval_mode
 
 
 def random_state(basis, rng):

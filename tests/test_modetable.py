@@ -33,7 +33,9 @@ from stokesheat.quadrature import (
     trig_pair_integral,
     trig_pair_matrix,
 )
-from stokesheat.spectral import TWO_PI, mode_profile, mode_x1_trig
+from stokesheat.spectral import TWO_PI
+
+from mode_reference import mode_profile, mode_x1_trig
 
 QUARTER = ObservationRegion(x1=(0.0, 0.5 * np.pi), x2=(0.4, 0.6))
 

@@ -18,7 +18,8 @@ from stokesheat import specineq
 from stokesheat.specineq import mineig_weighted_gramian, weighted_gramian
 from stokesheat.hilbert import sampled_velocity_factor
 from stokesheat.quadrature import gauss_legendre
-from stokesheat.spectral import eval_mode
+
+from mode_reference import eval_mode
 
 
 @pytest.fixture(scope="module")

@@ -15,8 +15,10 @@ from stokesheat import (
 )
 from stokesheat import spectral
 from stokesheat.spectral import (bracket_roots, build_mode, dispersion,
-                                 eval_mode, refine_root)
+                                 refine_root)
 from stokesheat.quadrature import trig_pair_integral, COS
+
+from mode_reference import eval_mode, mode_profile, mode_x1_trig, stream_eval
 
 
 def test_zero_mode_values():
@@ -164,6 +166,31 @@ def test_refine_root_narrow_bracket_counts_calls(monkeypatch):
     assert len(calls) == 2  # endpoint verification only
 
 
+def test_refine_root_calls_dispersion_as_often_as_brentq(monkeypatch):
+    # brentq's own endpoint evaluations are the only bracket check
+    from scipy.optimize import brentq
+
+    lo, hi = bracket_roots(1, 50.0)[0]
+    true_dispersion = spectral.dispersion
+    _, info = brentq(lambda lam: true_dispersion(1, lam), lo, hi,
+                     xtol=1e-12 * lo, rtol=1e-12, full_output=True)
+    calls = []
+
+    def counting(k, lam_):
+        calls.append(lam_)
+        return true_dispersion(k, lam_)
+
+    monkeypatch.setattr(spectral, "dispersion", counting)
+    assert spectral.refine_root(1, (lo, hi)) == info.root
+    assert len(calls) == info.function_calls
+
+
+def test_refine_root_passes_invalid_arguments_through():
+    with pytest.raises(InvalidArgumentError) as exc:
+        refine_root(0, (2.0, 3.0))
+    assert not isinstance(exc.value, InvalidBracketError)
+
+
 def test_refine_root_enclosure_semantics():
     br = bracket_roots(1, 50.0)[0]
     coarse = refine_root(1, br, tol=1e-6)
@@ -193,18 +220,47 @@ def test_eigen_mode_is_one_flat_record(basis60):
     assert not hasattr(spectral, "ZeroModeProfile")
 
 
-def test_build_mode_unit_norm_and_residuals(basis60):
-    lam = sector_eigenvalues(1, 10.0)[0]
-    mode = build_mode(1, lam, "cosine", n=1)
-    res = spectral.boundary_residuals(mode)
-    assert max(res.values()) <= 1e-7
+def test_mode_table_is_the_only_mode_evaluator():
+    # the per-mode evaluators live in tests/mode_reference.py
+    from stokesheat import hilbert
+
+    for name in ("stream_eval", "mode_x1_trig", "mode_profile", "eval_mode",
+                 "boundary_residuals"):
+        assert not hasattr(spectral, name), name
+    assert not hasattr(hilbert, "basis_state")
+
+
+def test_build_mode_unit_norm_and_residuals(basis120):
+    # a single mode with coefficient 1 at s = 0 makes the augmented system
+    # the eigen-system, since d^2/ds^2 cosh(sqrt(lam) s) = lam there
+    from stokesheat import augmented_field, residual_augmented
+
+    # 21 x1 points: sin(k x1) vanishes on all n points of a uniform grid
+    # when n divides 2k, which hid the k = 10 sine modes from 20 points
+    x1 = np.linspace(0.0, 2 * np.pi, 21, endpoint=False)
+    x2 = np.linspace(0.0, 1.0, 20)
+    for j in range(len(basis120)):
+        a = np.zeros(len(basis120))
+        a[j] = 1.0
+        field = augmented_field(basis120, a, basis120.cutoff, [0.0])
+        res = residual_augmented(field, ([0.0], x1, x2))
+        assert max(res.values()) <= 1e-7, (j, res)
+    # no slip: u1 on both walls and u2 on the bottom wall
+    tab = basis120.table
+    grid = np.linspace(0.0, 1.0, 65)
+    for comp, walls in (("u1", [0.0, 1.0]), ("u2", [0.0])):
+        peak = np.abs(tab.profiles(grid, comp)).max(axis=1)
+        wall = np.abs(tab.profiles(walls, comp)).max(axis=1)
+        assert np.all(wall <= 1e-7 * peak), comp
     # H-norm: pi * (int (phi'/k)^2 + phi^2 + phi(1)^2) == 1
     from stokesheat.quadrature import gauss_legendre
 
+    lam = sector_eigenvalues(1, 10.0)[0]
+    mode = build_mode(1, lam, "cosine", n=1)
     x, w = gauss_legendre(64, 0.0, 1.0)
-    phi = spectral.stream_eval(mode, x)
-    dphi = spectral.stream_eval(mode, x, 1)
-    phi1 = spectral.stream_eval(mode, np.array(1.0))
+    phi = stream_eval(mode, x)
+    dphi = stream_eval(mode, x, 1)
+    phi1 = stream_eval(mode, np.array(1.0))
     total = np.pi * (np.dot(w, dphi ** 2 + phi ** 2) + phi1 ** 2)
     assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -232,7 +288,7 @@ def test_build_mode_multiplicity_gate(monkeypatch):
 def test_eta_mean_vanishes():
     lam = sector_eigenvalues(2, 40.0)[0]
     mode = build_mode(2, lam, "cosine")
-    kind, wav = spectral.mode_x1_trig(mode, "u2")
+    kind, wav = mode_x1_trig(mode, "u2")
     mean = trig_pair_integral(kind, wav, COS, 0.0, 0.0, 2 * np.pi)
     assert abs(mean * mode.eta_trace) <= 1e-12
 
@@ -242,7 +298,7 @@ def test_top_wall_stress_reduces_to_pressure(basis60):
     # incompressibility plus the no-slip of u1 kills the velocity term
     top = np.array([1.0])
     for mode in basis60.modes:
-        du2_dx2 = spectral.mode_profile(mode, top, "u2", deriv=1)[0]
+        du2_dx2 = mode_profile(mode, top, "u2", deriv=1)[0]
         assert abs(du2_dx2) <= 1e-9
 
 
@@ -251,9 +307,9 @@ def test_boundary_pressure_mean_vanishes(basis60):
     # torus, so it is not free up to a constant
     top = np.array([1.0])
     for mode in basis60.modes:
-        kind, wav = spectral.mode_x1_trig(mode, "p")
+        kind, wav = mode_x1_trig(mode, "p")
         x1_mean = float(trig_pair_integral(kind, wav, COS, 0.0, 0.0, 2 * np.pi))
-        p_top = spectral.mode_profile(mode, top, "p")[0]
+        p_top = mode_profile(mode, top, "p")[0]
         assert abs(p_top * x1_mean) <= 1e-10
 
 
@@ -293,11 +349,11 @@ def test_divergence_pointwise(basis60):
     from stokesheat.quadrature import trig_eval
 
     for mode in basis60.modes:
-        k1, w1 = spectral.mode_x1_trig(mode, "u1")
-        k2, w2 = spectral.mode_x1_trig(mode, "u2")
-        div = (spectral.mode_profile(mode, x2[0], "u1")[None, :]
+        k1, w1 = mode_x1_trig(mode, "u1")
+        k2, w2 = mode_x1_trig(mode, "u2")
+        div = (mode_profile(mode, x2[0], "u1")[None, :]
                * trig_eval(k1, w1, x1, deriv=1)
-               + spectral.mode_profile(mode, x2[0], "u2", deriv=1)[None, :]
+               + mode_profile(mode, x2[0], "u2", deriv=1)[None, :]
                * trig_eval(k2, w2, x1))
         assert np.abs(div).max() <= 1e-10
 
