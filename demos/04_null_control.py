@@ -16,7 +16,6 @@ from stokesheat import (
     StateVector,
     assemble_basis,
     make_schedule,
-    obs_gramian,
     run_lr,
 )
 
@@ -36,9 +35,7 @@ print(f"schedule: {len(schedule.stages)} stages, cutoffs "
       f"{[f'{s.lam_cap:g}' for s in schedule.stages[:4]]} ... "
       f"(clipped at {schedule.lambda_cap:g})\n")
 
-gram = obs_gramian(basis, region)
-report, z_final = run_lr(z0, schedule, basis, region, reg_threshold=1e-12,
-                         gramian=gram)
+report, z_final = run_lr(z0, schedule, region, reg_threshold=1e-12)
 
 print(" stage   tau      Lambda   |z| before   |z| after    window cost")
 for rec in report.stages:

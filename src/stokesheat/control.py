@@ -295,8 +295,8 @@ def fit_telescoping_constant(schedule, records):
     return float(good)
 
 
-def run_lr(z0, schedule, basis, region, reg_threshold, gramian=None):
-    """Execute the dyadic control loop and audit it.
+def run_lr(z0, schedule, region, reg_threshold):
+    """Execute the dyadic control loop on ``z0``'s basis and audit it.
 
     Per stage: free decay, then a window control from the eigendecomposition
     of a stage Gramian.  That eigendecomposition is computed at the first
@@ -308,17 +308,12 @@ def run_lr(z0, schedule, basis, region, reg_threshold, gramian=None):
     so the recorded norms carry no time-stepping error.  The report also
     fits the smallest constant making the dyadic telescoping inequalities
     hold along the realized trajectory.  A schedule whose largest cutoff the
-    basis cannot serve is rejected before any work; a ``gramian`` passed in
-    must be the observation Gramian of ``region``.
+    basis cannot serve is rejected before any work; the stage Gramians are
+    built on ``obs_gramian(z0.basis, region)``, assembled here.
     """
+    basis = z0.basis
     basis.low_indices(max(stage.lam_cap for stage in schedule.stages))
-    if gramian is None:
-        gramian = obs_gramian(basis, region)
-    elif gramian.region != region:
-        raise InvalidArgumentError(
-            f"observation Gramian is for region {gramian.region!r}, not "
-            f"{region!r}")
-    check_gramian(basis, gramian)
+    gramian = obs_gramian(basis, region)
     state = z0
     initial_norm = float(np.linalg.norm(z0.coeffs))
     eig_cache = {}

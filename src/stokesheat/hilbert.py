@@ -55,9 +55,6 @@ class ObservationRegion:
     x2: tuple
 
     def __post_init__(self):
-        # float tuples, so that equal rectangles compare equal
-        object.__setattr__(self, "x1", tuple(map(float, self.x1)))
-        object.__setattr__(self, "x2", tuple(map(float, self.x2)))
         a1, b1 = self.x1
         a2, b2 = self.x2
         if not (0.0 <= a1 < b1 <= TWO_PI):
@@ -94,7 +91,6 @@ class StateVector:
 @dataclass(frozen=True)
 class ModalGramian:
     basis_id: str
-    region: ObservationRegion
     matrix: np.ndarray
 
 
@@ -130,8 +126,10 @@ def semigroup(x, t):
 
 def project(x, lam_cap):
     """Orthogonal projection onto the span of modes with lambda <= lam_cap."""
-    keep = x.basis.lambdas <= lam_cap
-    return StateVector(x.basis, np.where(keep, x.coeffs, 0.0))
+    idx = x.basis.low_indices(lam_cap)
+    a = np.zeros_like(x.coeffs)
+    a[idx] = x.coeffs[idx]
+    return StateVector(x.basis, a)
 
 
 def obs_gramian(basis, region):
@@ -144,7 +142,7 @@ def obs_gramian(basis, region):
         m += trig_pair_matrix(*tab.x1_trig(comp), *region.x1) * ((vals * w2) @ vals.T)
     m = 0.5 * (m + m.T)
     m.setflags(write=False)
-    return ModalGramian(basis_id=basis.basis_id, region=region, matrix=m)
+    return ModalGramian(basis_id=basis.basis_id, matrix=m)
 
 
 def sampled_velocity_factor(basis, indices, region):
@@ -312,7 +310,7 @@ def basis_document(basis):
         "metadata": basis.metadata,
         "modes": [_mode_record(m) for m in basis.modes],
     }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
 def atomic_write(path, text):

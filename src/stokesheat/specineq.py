@@ -270,10 +270,7 @@ class AugmentedField:
     basis: object
     coeffs: np.ndarray
     lam_cap: float
-    s_grid: np.ndarray
-    region: object
     mean_pressures: np.ndarray
-    gauge_samples: np.ndarray
 
 
 def _region_pressure_means(basis, idx, region):
@@ -285,7 +282,7 @@ def _region_pressure_means(basis, idx, region):
     return x1_ints * (tab.profiles(x2, "p")[idx] @ w2) / region.area
 
 
-def augmented_field(basis, coeffs, lam_cap, s_grid, region=None):
+def augmented_field(basis, coeffs, lam_cap, region=None):
     """Build the augmented field from low-mode coefficients.
 
     Coefficients must vanish on modes above ``lam_cap``.  The optional
@@ -298,24 +295,13 @@ def augmented_field(basis, coeffs, lam_cap, s_grid, region=None):
     if np.any(a[high] != 0.0):
         raise InvalidArgumentError(
             f"coefficients must be supported on modes with lambda <= {lam_cap!r}")
-    s_grid = np.asarray(s_grid, dtype=float)
     idx = basis.low_indices(lam_cap)
     if region is None:
         means = np.zeros(len(idx))
     else:
         means = _region_pressure_means(basis, idx, region)
     return AugmentedField(basis=basis, coeffs=a, lam_cap=lam_cap,
-                          s_grid=s_grid, region=region, mean_pressures=means,
-                          gauge_samples=_gauge(basis, a, lam_cap, means, s_grid))
-
-
-def _gauge(basis, coeffs, lam_cap, means, s):
-    """Gauge c_P(s) of :class:`AugmentedField`, summed like :func:`_modal_sum`
-    over the modes with a coefficient; ``means`` covers lam <= lam_cap."""
-    idx = basis.low_indices(lam_cap)
-    on = coeffs[idx] != 0.0
-    cosh_tab = np.cosh(np.outer(s, np.sqrt(basis.lambdas[idx[on]])))
-    return -(cosh_tab * coeffs[idx[on]]) @ means[on]
+                          mean_pressures=means)
 
 
 def _modal_sum(field, s, x1, x2, component, ds=0, dx1=0, dx2=0):
@@ -344,8 +330,13 @@ def field_values(field, s, x1, x2, component, ds=0, dx1=0, dx2=0):
     s, x1, x2 = (np.atleast_1d(np.asarray(g, dtype=float)) for g in (s, x1, x2))
     out = _modal_sum(field, s, x1, x2, component, ds, dx1, dx2)
     if component == "p" and ds == 0 and dx1 == 0 and dx2 == 0:
-        out += _gauge(field.basis, field.coeffs, field.lam_cap,
-                      field.mean_pressures, s)[:, None, None]
+        # the gauge c_P(s) of AugmentedField, summed like _modal_sum over
+        # the modes with a coefficient
+        idx = field.basis.low_indices(field.lam_cap)
+        on = field.coeffs[idx] != 0.0
+        cosh_tab = np.cosh(np.outer(s, np.sqrt(field.basis.lambdas[idx[on]])))
+        gauge = -(cosh_tab * field.coeffs[idx[on]]) @ field.mean_pressures[on]
+        out += gauge[:, None, None]
     return out
 
 

@@ -60,11 +60,6 @@ def region_default():
 
 
 @pytest.fixture(scope="module")
-def gram1200(basis1200, region_default):
-    return obs_gramian(basis1200, region_default)
-
-
-@pytest.fixture(scope="module")
 def z0_mix(basis1200):
     rng = np.random.default_rng(0)
     a = np.zeros(len(basis1200))
@@ -74,10 +69,9 @@ def z0_mix(basis1200):
 
 
 @pytest.fixture(scope="module")
-def lr_run(basis1200, region_default, gram1200, z0_mix):
+def lr_run(region_default, z0_mix):
     sched = make_schedule(1.0, 1.5, 0.5, 1024.0)
-    report, z_final = run_lr(z0_mix, sched, basis1200, region_default, 1e-12,
-                             gramian=gram1200)
+    report, z_final = run_lr(z0_mix, sched, region_default, 1e-12)
     return sched, report, z_final
 
 
@@ -135,7 +129,7 @@ def test_criterion_05_augmented_residuals():
     a[:30] = rng.standard_normal(30)
     lam_cap = basis.lambdas[29] + 1e-9
     region = ObservationRegion((0.0, np.pi), (0.3, 0.7))
-    fld = augmented_field(basis, a, lam_cap, np.linspace(0, 1, 5), region=region)
+    fld = augmented_field(basis, a, lam_cap, region=region)
     grid = (np.linspace(0.05, 0.95, 20),
             np.linspace(0.0, 2 * np.pi, 20, endpoint=False),
             np.linspace(0.0, 1.0, 20))
@@ -205,14 +199,12 @@ def test_criterion_08_null_control(lr_run, z0_mix):
                f"{sum(1 for r in report.stages if r.clipped)} clipped stages")
 
 
-def test_criterion_09_telescoping(lr_run, basis1200, region_default, gram1200,
-                                  z0_mix):
+def test_criterion_09_telescoping(lr_run, region_default, z0_mix):
     _, report_half, _ = lr_run
     c1 = {0.5: report_half.c1}
     for eps in (0.4, 0.6):
         sched = make_schedule(1.0, 1.5, eps, 1024.0)
-        rep, _ = run_lr(z0_mix, sched, basis1200, region_default, 1e-12,
-                        gramian=gram1200)
+        rep, _ = run_lr(z0_mix, sched, region_default, 1e-12)
         c1[eps] = rep.c1
     assert all(math.isfinite(v) and v > 0 for v in c1.values())
     ref = c1[0.5]

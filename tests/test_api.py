@@ -1,5 +1,6 @@
 """The import contract: every name the README library example and the demos
-import from ``stokesheat`` is exported, and the export list stays small."""
+import from ``stokesheat`` is exported, and the export list stays small; the
+README library example also runs as written."""
 
 import ast
 import inspect
@@ -45,3 +46,10 @@ def test_caller_imports_are_exported(caller):
 def test_export_list_stays_small():
     assert len(CALLERS) == 5
     assert len(exported()) <= 40
+
+
+def test_readme_example_runs():
+    scope = {}
+    exec(compile(readme_example(), "README.md", "exec"), scope)
+    report = scope["report"]
+    assert report.final_norm / report.initial_norm <= 1e-4

@@ -13,6 +13,12 @@ def run_cli(args):
     return main(args)
 
 
+def strict_json(path):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
 def test_minimal_config_fills_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"basis": {"lambda_max": 80}}))
@@ -214,6 +220,24 @@ def test_control_cap_below_first_eigenvalue(tmp_path):
     code = run_cli(["control", "--lambda-max", "80", "--lambda-cap", "3",
                     "--z0-modes", "5", "--out-dir", str(tmp_path)])
     assert code == 1  # no effective control, pure decay misses the tolerance
+    # every stage is empty, and an empty stage's infinite cond_estimate is
+    # null in the JSON report
+    stages = strict_json(tmp_path / "control_report.json")["stages"]
+    assert [s["cond_estimate"] for s in stages] == [None] * len(stages)
+    assert (tmp_path / "control_stages.csv").read_text().count(",inf\n") == len(stages)
+
+
+def test_structured_specineq_writes_nan_as_null(tmp_path):
+    # a cutoff below the first eigenvalue is a row of NaNs
+    code = run_cli(["specineq", "--lambda-max", "60",
+                    "--lambda-list", "5,10,25,50",
+                    "--region", "0,1.5707963267948966,0.4,0.6",
+                    "--format", "structured", "--out-dir", str(tmp_path)])
+    assert code == 0
+    rows = strict_json(tmp_path / "specineq.json")["rows"]
+    assert rows[0] == [5.0, 0, None, None, math.sqrt(5.0), None]
+    assert all(v is not None for row in rows[1:] for v in row)
+    strict_json(tmp_path / "specineq_fit.json")
 
 
 def test_control_insufficient_basis_is_config_error(tmp_path, capsys):

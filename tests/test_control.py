@@ -239,7 +239,7 @@ def test_window_observation_free_and_controlled(basis60, region_half, rng):
 def test_run_lr_zero_state(basis120, region_half):
     sched = make_schedule(1.0, 1.5, 0.5, 100.0)
     z0 = StateVector(basis120, np.zeros(len(basis120)))
-    report, zT = run_lr(z0, sched, basis120, region_half, 1e-12)
+    report, zT = run_lr(z0, sched, region_half, 1e-12)
     assert report.final_norm == 0.0
     assert report.total_cost == 0.0
     assert np.abs(zT.coeffs).max() == 0.0
@@ -258,12 +258,12 @@ def test_run_lr_cutoff_validation(basis60, region_half, monkeypatch):
     z0 = StateVector(basis60, np.zeros(len(basis60)))
     # the largest stage cap is named, and no stage runs before the rejection
     with pytest.raises(InvalidArgumentError, match="lam_cap 1024"):
-        run_lr(z0, sched, basis60, region_half, 1e-12)
+        run_lr(z0, sched, region_half, 1e-12)
     assert calls == []
 
 
-def test_run_lr_segments_carry_the_stage_window(basis120, region_half,
-                                                gram120, rng, monkeypatch):
+def test_run_lr_segments_carry_the_stage_window(basis120, region_half, rng,
+                                                monkeypatch):
     import stokesheat.control as control
 
     seen = {"advance_window": [], "window_observation": []}
@@ -274,8 +274,7 @@ def test_run_lr_segments_carry_the_stage_window(basis120, region_half,
                             _segs.append(seg) or _real(state, seg, gram))
     # epsilon 0.4: stage start + passive + window is not exactly start + tau
     sched = make_schedule(1.0, 1.5, 0.4, 100.0)
-    run_lr(unit_mix(basis120, rng, 20), sched, basis120, region_half, 1e-12,
-           gramian=gram120)
+    run_lr(unit_mix(basis120, rng, 20), sched, region_half, 1e-12)
     for segments in seen.values():
         assert [s.window for s in segments] == [s.window for s in sched.stages]
 
@@ -325,8 +324,7 @@ def test_run_lr_single_mode_stage_trace(basis120, region_half):
                       stages=sched.stages[:1])
     a = np.zeros(len(basis120))
     a[0] = 1.0
-    report, zT = run_lr(StateVector(basis120, a), one, basis120, region_half,
-                        1e-12)
+    report, zT = run_lr(StateVector(basis120, a), one, region_half, 1e-12)
     rec = report.stages[0]
     assert rec.low_residual <= 1e-10
     idx = basis120.low_indices(32.0)
@@ -341,11 +339,10 @@ def test_run_lr_monotone_improvement(basis120, region_half, rng):
     one = type(sched)(t_horizon=sched.t_horizon, gamma=sched.gamma,
                       epsilon=sched.epsilon, lambda_cap=sched.lambda_cap,
                       stages=sched.stages[:1])
-    gram = obs_gramian(basis120, region_half)
     for _ in range(10):
         z0 = unit_mix(basis120, rng, 20)
-        full, _ = run_lr(z0, sched, basis120, region_half, 1e-12, gramian=gram)
-        short, _ = run_lr(z0, one, basis120, region_half, 1e-12, gramian=gram)
+        full, _ = run_lr(z0, sched, region_half, 1e-12)
+        short, _ = run_lr(z0, one, region_half, 1e-12)
         assert full.final_norm <= short.final_norm * (1 + 1e-9)
 
 
@@ -354,7 +351,7 @@ def test_run_lr_energy_accounting(basis120, region_half, rng):
     gram = obs_gramian(basis120, region_half)
     m_norm = float(np.linalg.norm(gram.matrix, 2))
     z0 = unit_mix(basis120, rng, 25)
-    report, _ = run_lr(z0, sched, basis120, region_half, 1e-12, gramian=gram)
+    report, _ = run_lr(z0, sched, region_half, 1e-12)
     for rec in report.stages:
         bound = rec.pre_norm + math.sqrt(max(rec.cost, 0.0)) * math.sqrt(m_norm)
         assert rec.post_norm <= bound * (1 + 1e-9)
@@ -363,11 +360,11 @@ def test_run_lr_energy_accounting(basis120, region_half, rng):
 def test_telescoping_constant_finite_and_zero_run(basis120, region_half, rng):
     sched = make_schedule(1.0, 1.5, 0.5, 100.0)
     z0 = unit_mix(basis120, rng, 20)
-    report, _ = run_lr(z0, sched, basis120, region_half, 1e-12)
+    report, _ = run_lr(z0, sched, region_half, 1e-12)
     assert math.isfinite(report.c1)
     assert report.c1 > 0
     z0 = StateVector(basis120, np.zeros(len(basis120)))
-    report0, _ = run_lr(z0, sched, basis120, region_half, 1e-12)
+    report0, _ = run_lr(z0, sched, region_half, 1e-12)
     assert report0.c1 == pytest.approx(1e-12)  # every inequality is 0 <= 0
 
 
@@ -466,17 +463,11 @@ def test_fit_validation():
                               sweep="T")
 
 
-def test_run_lr_rejects_gramian_of_another_region(basis60, region_half,
-                                                  region_small):
+def test_run_lr_runs_a_region_given_as_lists(basis60, region_half):
     sched = make_schedule(1.0, 1.5, 0.5, 50.0)
     z0 = StateVector(basis60, np.eye(len(basis60))[0])
-    with pytest.raises(InvalidArgumentError, match="region"):
-        run_lr(z0, sched, basis60, region_half, 1e-12,
-               gramian=obs_gramian(basis60, region_small))
-    # the same rectangle given as lists is the same region
     same = ObservationRegion(list(region_half.x1), list(region_half.x2))
-    report, _ = run_lr(z0, sched, basis60, same, 1e-12,
-                       gramian=obs_gramian(basis60, region_half))
+    report, _ = run_lr(z0, sched, same, 1e-12)
     assert report.final_norm <= 1e-4
 
 
@@ -487,8 +478,7 @@ def test_run_lr_stage_records_match_fresh_stage_control(basis120, region_half,
                                                         gram120, rng):
     sched = make_schedule(1.0, 1.5, 0.5, 100.0)   # stages 1-12 share cap 100
     z0 = unit_mix(basis120, rng, 25)
-    report, _ = run_lr(z0, sched, basis120, region_half, 1e-12,
-                       gramian=gram120)
+    report, _ = run_lr(z0, sched, region_half, 1e-12)
 
     def close(a, b):
         return a == b or abs(a - b) <= 1e-12 * max(abs(a), abs(b))

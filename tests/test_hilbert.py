@@ -128,9 +128,23 @@ def test_project_properties(basis60, rng):
     lam = 30.0
     p = project(x, lam)
     assert np.array_equal(project(p, lam).coeffs, p.coeffs)
-    assert np.array_equal(project(x, basis60.cutoff + 1).coeffs, x.coeffs)
+    assert np.array_equal(project(x, basis60.cutoff).coeffs, x.coeffs)
     tail = x.coeffs - p.coeffs
     assert norm(x) ** 2 == pytest.approx(norm(p) ** 2 + float(tail @ tail), rel=1e-12)
+
+
+def test_project_checks_the_cutoff(basis60, rng):
+    # a cap above the basis cutoff would return the whole state as if it
+    # were that cap's projection; below it the result is the masked state
+    a = random_state(basis60, rng).coeffs
+    a[[1, -1]] = -0.0
+    x = StateVector(basis60, a)
+    for cap in (basis60.cutoff + 1, 1e9):
+        with pytest.raises(InvalidArgumentError, match="exceeds the basis cutoff"):
+            project(x, cap)
+    for cap in (0.0, 30.0, float(basis60.lambdas[10]), basis60.cutoff):
+        want = np.where(basis60.lambdas <= cap, a, 0.0)
+        assert project(x, cap).coeffs.tobytes() == want.tobytes()
 
 
 def test_obs_gramian_region_validation():

@@ -235,8 +235,7 @@ def test_augmented_sums_match_per_mode_loop(basis400):
     low = basis400.low_indices(lam_cap)
     a[low] = rng.standard_normal(len(low))
     a[low[::3]] = 0.0
-    fld = augmented_field(basis400, a, lam_cap, np.linspace(0, 1, 3),
-                          region=QUARTER)
+    fld = augmented_field(basis400, a, lam_cap, region=QUARTER)
     means = ref_region_pressure_means(basis400, low, QUARTER)
     assert (np.abs(fld.mean_pressures - means).max()
             <= 1e-14 * np.abs(means).max())
@@ -258,8 +257,7 @@ def test_field_values_skip_modes_without_coefficient(basis400):
     a = np.zeros(len(basis400))
     a[:4] = [1.0, -0.5, 0.25, 0.125]
     s = np.array([40.0])
-    fld = augmented_field(basis400, a, 400.0, s, region=QUARTER)
-    assert np.all(np.isfinite(fld.gauge_samples))
+    fld = augmented_field(basis400, a, 400.0, region=QUARTER)
     x1 = np.linspace(0.0, 6.0, 5)
     x2 = np.linspace(0.0, 1.0, 5)
     for component in ("u1", "u2"):

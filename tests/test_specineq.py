@@ -259,7 +259,7 @@ def test_augmented_field_unit_coefficient(basis60, region_half):
     a = np.zeros(len(basis60))
     a[j] = 1.0
     lam_cap = basis60.lambdas[j] + 1e-9
-    fld = augmented_field(basis60, a, lam_cap, np.linspace(0, 1, 3))
+    fld = augmented_field(basis60, a, lam_cap)
     x1 = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
     x2 = np.linspace(0.0, 1.0, 7)
     u1_0 = specineq.field_values(fld, [0.0], x1, x2, "u1")[0]
@@ -275,14 +275,14 @@ def test_augmented_field_support_validation(basis60):
     a = np.zeros(len(basis60))
     a[-1] = 1.0
     with pytest.raises(InvalidArgumentError):
-        augmented_field(basis60, a, 10.0, np.linspace(0, 1, 3))
+        augmented_field(basis60, a, 10.0)
 
 
 def test_augmented_field_rejects_cutoff_above_basis(basis60):
     a = np.zeros(len(basis60))
     a[0] = 1.0
     with pytest.raises(InvalidArgumentError, match="exceeds the basis cutoff"):
-        augmented_field(basis60, a, 2.0 * basis60.cutoff, np.linspace(0, 1, 3))
+        augmented_field(basis60, a, 2.0 * basis60.cutoff)
 
 
 def test_augmented_boundary_values(basis60, rng):
@@ -290,7 +290,7 @@ def test_augmented_boundary_values(basis60, rng):
     a = np.zeros(len(basis60))
     a[:n_low] = rng.standard_normal(n_low)
     lam_cap = basis60.lambdas[n_low - 1] + 1e-9
-    fld = augmented_field(basis60, a, lam_cap, np.linspace(0, 1, 3))
+    fld = augmented_field(basis60, a, lam_cap)
     s = np.linspace(0.05, 0.9, 6)
     x1 = np.linspace(0.0, 2 * np.pi, 9, endpoint=False)
     u1_bot = specineq.field_values(fld, s, x1, [0.0], "u1")
@@ -306,8 +306,7 @@ def test_augmented_residuals_random(basis120, region_half, rng):
     a = np.zeros(len(basis120))
     a[:n_low] = rng.standard_normal(n_low)
     lam_cap = basis120.lambdas[n_low - 1] + 1e-9
-    fld = augmented_field(basis120, a, lam_cap, np.linspace(0, 1, 5),
-                          region=region_half)
+    fld = augmented_field(basis120, a, lam_cap, region=region_half)
     grid = (np.linspace(0.05, 0.95, 20),
             np.linspace(0.0, 2 * np.pi, 20, endpoint=False),
             np.linspace(0.0, 1.0, 20))
@@ -318,8 +317,7 @@ def test_augmented_residuals_random(basis120, region_half, rng):
 
 
 def test_augmented_residuals_zero_coefficients(basis60):
-    fld = augmented_field(basis60, np.zeros(len(basis60)), 10.0,
-                          np.linspace(0, 1, 3))
+    fld = augmented_field(basis60, np.zeros(len(basis60)), 10.0)
     res = residual_augmented(fld, (np.linspace(0.1, 0.9, 4),
                                    np.linspace(0, 6, 4),
                                    np.linspace(0, 1, 4)))
@@ -333,10 +331,9 @@ def test_gauge_invariance(basis60, region_half, rng):
     lam_cap = basis60.lambdas[n_low - 1] + 1e-9
     grid = (np.linspace(0.1, 0.9, 6), np.linspace(0, 6, 6), np.linspace(0, 1, 6))
     with_gauge = residual_augmented(
-        augmented_field(basis60, a, lam_cap, np.linspace(0, 1, 3),
-                        region=region_half), grid)
+        augmented_field(basis60, a, lam_cap, region=region_half), grid)
     without = residual_augmented(
-        augmented_field(basis60, a, lam_cap, np.linspace(0, 1, 3)), grid)
+        augmented_field(basis60, a, lam_cap), grid)
     for key in with_gauge:
         assert with_gauge[key] == pytest.approx(without[key], abs=1e-14)
 
@@ -346,8 +343,7 @@ def test_gauge_zero_region_mean(basis60, region_half, rng):
     a = np.zeros(len(basis60))
     a[:n_low] = rng.standard_normal(n_low)
     lam_cap = basis60.lambdas[n_low - 1] + 1e-9
-    fld = augmented_field(basis60, a, lam_cap, np.linspace(0, 1, 4),
-                          region=region_half)
+    fld = augmented_field(basis60, a, lam_cap, region=region_half)
     x1, w1 = gauss_legendre(96, *region_half.x1)
     x2, w2 = gauss_legendre(64, *region_half.x2)
     p = specineq.field_values(fld, [0.37], x1, x2, "p")[0]
@@ -360,7 +356,7 @@ def test_ds2_finite_difference_order(basis60, rng):
     a = np.zeros(len(basis60))
     a[:n_low] = rng.standard_normal(n_low)
     lam_cap = basis60.lambdas[n_low - 1] + 1e-9
-    fld = augmented_field(basis60, a, lam_cap, np.linspace(0, 1, 3))
+    fld = augmented_field(basis60, a, lam_cap)
     s0 = 0.3
     x1 = np.linspace(0.0, 6.0, 5)
     x2 = np.linspace(0.1, 0.9, 5)

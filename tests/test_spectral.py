@@ -242,7 +242,7 @@ def test_build_mode_unit_norm_and_residuals(basis120):
     for j in range(len(basis120)):
         a = np.zeros(len(basis120))
         a[j] = 1.0
-        field = augmented_field(basis120, a, basis120.cutoff, [0.0])
+        field = augmented_field(basis120, a, basis120.cutoff)
         res = residual_augmented(field, ([0.0], x1, x2))
         assert max(res.values()) <= 1e-7, (j, res)
     # no slip: u1 on both walls and u2 on the bottom wall
