@@ -363,8 +363,10 @@ def obs_constant(basis, lam_cap, t_horizon, region, defect_threshold=1e-13):
     (diag(exp(-2 lam T)), O) with O the horizon observation Gramian.  O is
     represented by a square-root factor R: one copy of the cancellation-free
     velocity factor per node of a time-graded quadrature, which
-    :func:`stacked_factor_r` compresses to at most n copies (a Khatri-Rao
-    product) and QR-factors block by block.  The symmetric reduction becomes
+    :func:`stacked_factor_r` compresses (a Khatri-Rao product) to one copy
+    per singular value of the column-equilibrated exp(-lam t) weights above
+    eps, 18 to 27 of 224 to 320 in the README observe run, and QR-factors
+    block by block.  The symmetric reduction becomes
     the largest singular value of diag(exp(-lam T)) R^-1; this resolves
     constants across twice the dynamic range a dense eigensolve of the
     assembled O could, to about 2 eps kappa(R) relative.

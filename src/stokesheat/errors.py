@@ -49,6 +49,11 @@ class BasisVersionError(BasisFormatError):
     """Basis cache file carries an unsupported schema version."""
 
 
+class KernelQuadratureError(StokesHeatError):
+    """The spectral-inequality kernel's quadrature rule is still moving at
+    its finest level; no result computed with it would be resolved."""
+
+
 class ObservabilityDefectError(StokesHeatError):
     """Observation Gramian is numerically singular; carries a coefficient
     direction that is nearly invisible on the observation region."""

@@ -182,29 +182,45 @@ def stacked_factor_r(r_g, row_weights, col_scales):
 
     The stack is the column-wise Kronecker (Khatri-Rao) product of r_g and
     A[j, l] = row_weights[j] col_scales[j, l], so its Gram matrix is
-    (r_g^T r_g) o (A^T A).  A is first replaced by its QR factor R_A, which
-    has the same A^T A and min(n_s, n) rows: the stack becomes the blocks
-    r_g diag(R_A[p]), min(n_s, n) * n rows in all.  Householder QR is
-    column-wise backward stable, so R keeps the column-wise eps * kappa
-    accuracy of the uncompressed stack.
+    (r_g^T r_g) o (A^T A).  A is first replaced by a rank-revealing factor
+    with A^T A kept to eps relative per column: with D the column norms of
+    A and A D^-1 = U S V^T, the k rows of S_k V_k^T D whose singular values
+    lie above eps * s_1.  (The SVD is taken of R_A D^-1, R_A the QR factor
+    of A, which has the same S and V.)  The dropped rows move each column
+    of the stack by at most eps * s_1 <= eps sqrt(n) relative, the
+    column-wise backward error the Householder QR of the stack makes
+    anyway, so R keeps the eps * kappa accuracy of the uncompressed stack.
+    A's rows sample exponentials (cosh(s sqrt(lam)), exp(-lam t)), whose
+    singular values decay geometrically, so k is small: 12 of 512 kernel
+    nodes for the 194 modes at Lambda = 400 in the README specineq run.
+    The stack becomes the k blocks r_g diag((S_k V_k^T D)[p]), k * m rows.
 
     The blocks are streamed through an incremental QR, R <- qr([R; chunk])
     (TSQR), in one buffer of about ``_STACK_ROWS`` rows, so the working
-    memory is O(rows * n) whatever the number of blocks.
+    memory is O(rows * n) whatever the number of blocks.  R has the shape
+    of the uncompressed stack's factor, min(n_s * m, n) x n, with zero rows
+    below the compressed stack's own (all of R when A is zero).
     """
     m, n = r_g.shape
-    r_a = np.linalg.qr(row_weights[:, None] * col_scales, mode="r")
+    a = row_weights[:, None] * col_scales
+    d = np.linalg.norm(a, axis=0)
+    d[d == 0.0] = 1.0     # a zero column stays zero
+    _, sv, vt = np.linalg.svd(np.linalg.qr(a, mode="r") / d, full_matrices=False)
+    keep = sv > np.finfo(float).eps * sv[0]
+    factor = sv[keep, None] * vt[keep] * d
     per = max(1, (_STACK_ROWS - n) // m)
     buf = np.empty((n + per * m, n))
     r = np.empty((0, n))
-    for start in range(0, len(r_a), per):
-        scales = r_a[start:start + per]
+    for start in range(0, len(factor), per):
+        scales = factor[start:start + per]
         top = len(r)
         buf[:top] = r
         chunk = buf[top:top + len(scales) * m].reshape(len(scales), m, n)
         np.multiply(r_g, scales[:, None, :], out=chunk)
         r = np.linalg.qr(buf[:top + len(scales) * m], mode="r")
-    return r
+    out = np.zeros((min(len(a) * m, n), n))
+    out[:len(r)] = r
+    return out
 
 
 def trace_gramian(basis):

@@ -14,11 +14,12 @@ smallest singular value of an explicit square-root factor F of K built from
 cancellation-free quadrature samples of the mode velocities; the singular
 value decomposition is backward stable, which halves the exponent of the
 resolvable range.  F stacks one weighted copy of the n x n velocity factor
-per kernel node; as a Khatri-Rao product it compresses to n such copies
-before its QR (:func:`stacked_factor_r`), and each min_eig is resolved to
-about 2 eps kappa(F) relative, which the report records per cutoff.  The
-dense K of :func:`weighted_gramian` is the small-cutoff reference the tests
-compare it against.
+per kernel node; as a Khatri-Rao product it compresses before its QR to one
+copy per singular value of the column-equilibrated kernel weights above
+eps (:func:`stacked_factor_r`: 12 copies for 512 nodes at Lambda = 400),
+and each min_eig is resolved to about 2 eps kappa(F) relative, which the
+report records per cutoff.  The dense K of :func:`weighted_gramian` is the
+small-cutoff reference the tests compare it against.
 
 The augmented field U(s, x) = sum a_j cosh(sqrt(lam_j) s) u_j(x) with its
 companion pressure turns the spectral sum into a harmonic-pressure elliptic
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, KernelQuadratureError
 from .fitting import linear_fit
 from .hilbert import obs_gramian, sampled_velocity_factor, stacked_factor_r
 from .quadrature import (COS, GAUSS_NODES_X2, gauss_legendre, trig_eval,
@@ -79,7 +80,8 @@ def kernel_quadrature(kernel, m_max=0.0):
     """Adaptive quadrature rule resolving kappa^2 * cosh(m s) for m <= m_max.
 
     Panels are refined until the probe integrals (m = 0 and m = m_max,
-    evaluated in log space) are stable to ``_QUAD_RTOL``.
+    evaluated in log space) are stable to ``_QUAD_RTOL``; a rule that still
+    moves them at the finest level raises :class:`KernelQuadratureError`.
     """
     a, b = kernel.support
     prev = None
@@ -95,7 +97,10 @@ def kernel_quadrature(kernel, m_max=0.0):
             if d0 <= _QUAD_RTOL and d1 <= _QUAD_RTOL:
                 return s, w
         prev = (probe0, probe1)
-    return s, w
+    raise KernelQuadratureError(
+        f"kernel quadrature on support {kernel.support!r} did not converge: "
+        f"its finest rule ({len(s)} nodes) still moves the probe integrals "
+        f"by {max(d0, d1):.2e} relative, above {_QUAD_RTOL:g}")
 
 
 def _log_cosh_moments(kernel, m, s, w):
@@ -162,9 +167,10 @@ def mineig_weighted_gramian(basis, lam_cap, region, kernel):
     F stacks r_g diag(cosh(s sqrt(lam))) over the kernel's quadrature nodes
     s, weighted by sqrt(w) kappa(s).  :func:`stacked_factor_r` never holds
     it whole and first compresses its node blocks (512 in the README run)
-    to n, so the QR sees n * n rows.  The result is a :class:`MinEig`: a
-    float that also carries kappa(F), and 2 eps kappa(F) bounds the value's
-    relative error.
+    to the numerical rank k of the column-equilibrated weights (5 to 12 in
+    that run), so the QR sees k * n rows.  The result is a
+    :class:`MinEig`: a float that also carries kappa(F), and 2 eps kappa(F)
+    bounds the value's relative error.
     """
     idx = basis.low_indices(lam_cap)
     if len(idx) == 0:

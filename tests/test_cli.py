@@ -153,6 +153,18 @@ def test_specineq_small_run(tmp_path):
     assert [r[5] for r in doc["rows"]] == kappas
 
 
+def test_specineq_unconverged_kernel_quadrature_exits_1(tmp_path, capsys):
+    code = run_cli(["specineq", "--lambda-max", "60",
+                    "--lambda-list", "10,25,50",
+                    "--kernel-support", "0.49,0.51",
+                    "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^error: kernel quadrature on support \(0\.49, 0\.51\) "
+                     r"did not converge", err, re.M)
+    assert not (tmp_path / "specineq.csv").exists()
+
+
 def test_observe_single_point(tmp_path):
     code = run_cli(["observe", "--lambda-max", "40", "--lambda-list", "30",
                     "--t-list", "0.5", "--out-dir", str(tmp_path)])

@@ -23,7 +23,7 @@ from stokesheat import (
     trace_gramian,
     zero_mode,
 )
-from stokesheat import FULL_REGION
+from stokesheat import FULL_REGION, control
 from stokesheat.control import (ControlSegment, _exp_integral,
                                 _window_time_nodes, advance_window,
                                 window_observation)
@@ -413,6 +413,29 @@ def test_obs_constant_matches_dense_generalized_eigh(basis60):
             got = obs_constant(basis60, lam_cap, t_hor, region).value
             assert (abs(got / ref - 1.0)
                     <= 10.0 * np.finfo(float).eps * o_eigs[-1] / o_eigs[0])
+
+
+def test_obs_constant_matches_full_stack_within_eps_kappa(basis220,
+                                                         monkeypatch):
+    # the README observe run: the compressed stack against every time-node
+    # block materialized and factored by one QR, which the value may differ
+    # from by the backward-error floor 2 eps kappa(R)
+    region = ObservationRegion((0.0, 0.392699081698724), (0.47, 0.53))
+    factors = []
+
+    def full_stack_r(r_g, row_weights, col_scales):
+        full = row_weights[:, None, None] * (r_g[None] * col_scales[:, None, :])
+        factors.append(np.linalg.qr(full.reshape(-1, r_g.shape[1]), mode="r"))
+        return factors[-1]
+
+    for t_hor in (0.1, 0.2, 0.4, 0.8):
+        got = obs_constant(basis220, 200.0, t_hor, region).value
+        with monkeypatch.context() as patch:
+            patch.setattr(control, "stacked_factor_r", full_stack_r)
+            ref = obs_constant(basis220, 200.0, t_hor, region).value
+        svals = np.linalg.svd(factors[-1], compute_uv=False)
+        kappa_r = svals[0] / svals[-1]
+        assert abs(got - ref) <= 2.0 * np.finfo(float).eps * kappa_r * ref
 
 
 def test_stage_control_with_eig_rejects_cutoff_above_basis(basis60,

@@ -461,3 +461,58 @@ def test_stacked_factor_r_compression_keeps_smallest_singular_value(
     kappa_f = s_ref[0] / s_ref[-1]
     assert (abs(s_got[-1] - s_ref[-1])
             <= 16.0 * np.finfo(float).eps * kappa_f * s_ref[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9),
+       rows=st.integers(1, 9),
+       deficiency=st.sampled_from(["repeated_nodes", "rank_one", "zero_row"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_factor_r_rank_deficient_weights(n, rows, deficiency, seed):
+    # A = row_weights[:, None] * col_scales of rank well below min(n_s, n):
+    # graded exponentials at a few nodes each taken many times, one column
+    # profile times per-row factors, or graded rows with zero weights among
+    # them; r_g may have fewer rows than columns
+    rng = np.random.default_rng(seed)
+    rows = min(rows, n)
+    n_blocks = int(rng.integers(2, 4 * n + 3))
+    rates = np.sort(rng.uniform(0.0, 10.0, n)) * math.log(10.0)
+    weights = rng.uniform(0.1, 2.0, n_blocks)
+    if deficiency == "rank_one":
+        scales = np.outer(rng.uniform(0.5, 2.0, n_blocks), np.exp(-rates))
+    else:
+        if deficiency == "repeated_nodes":
+            distinct = rng.uniform(0.0, 1.0, max(1, n_blocks // 3))
+            nodes = rng.choice(distinct, n_blocks)
+        else:
+            nodes = rng.uniform(0.0, 1.0, n_blocks)
+            weights[rng.choice(n_blocks, max(1, n_blocks // 2),
+                               replace=False)] = 0.0
+        scales = np.exp(-np.outer(nodes, rates))
+    # column norms spread over 12 decades, as the cosh(s q) columns do
+    scales *= 10.0 ** rng.uniform(-6.0, 6.0, n)
+    r_g = np.triu(rng.standard_normal((rows, n)))
+    with mock.patch.object(hilbert, "_STACK_ROWS", 48):
+        got = hilbert.stacked_factor_r(r_g, weights, scales)
+    full = (weights[:, None, None] * (r_g[None] * scales[:, None, :])).reshape(-1, n)
+    ref = np.linalg.qr(full, mode="r")
+    assert got.shape == ref.shape
+    assert np.array_equal(got, np.triu(got))
+    # to 1e-12 of each entry's column norms, so the smallest columns keep
+    # their digits as well as the largest
+    gram_ref = ref.T @ ref
+    col = np.sqrt(np.diag(gram_ref))
+    assert np.all(np.abs(got.T @ got - gram_ref)
+                  <= 1e-12 * np.outer(col, col))
+
+
+@pytest.mark.parametrize("n_blocks", [1, 5, 12])
+def test_stacked_factor_r_all_zero_weights_is_zero_r(n_blocks):
+    # a zero A keeps no block; R is still the uncompressed stack's n x n zero
+    rng = np.random.default_rng(n_blocks)
+    n = 4
+    r_g = np.triu(rng.standard_normal((n, n)))
+    got = hilbert.stacked_factor_r(r_g, np.zeros(n_blocks),
+                                   rng.uniform(0.5, 2.0, (n_blocks, n)))
+    assert got.shape == (n, n)
+    assert not got.any()

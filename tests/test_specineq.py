@@ -15,6 +15,7 @@ from stokesheat import (
     trace_gramian,
 )
 from stokesheat import specineq
+from stokesheat.errors import KernelQuadratureError
 from stokesheat.specineq import mineig_weighted_gramian, weighted_gramian
 from stokesheat.hilbert import sampled_velocity_factor
 from stokesheat.quadrature import gauss_legendre
@@ -144,13 +145,15 @@ def test_mineig_matches_dense_eigvalsh_on_readme_basis(basis500, region_small,
 
 def full_stack_mineig(basis, lam_cap, region, kernel):
     """The full-stack min-eig path the streamed one replaced: every weighted
-    block materialized, then one QR.  The blocks are formed in place (the
-    same products in the same order) to spare a stack-sized temporary.
+    block over the same kernel rule materialized, then one QR.  The blocks
+    are formed in place (the same products in the same order) to spare a
+    stack-sized temporary.
     Returns min_eig and the condition number of the stacked factor."""
     idx = basis.low_indices(lam_cap)
     r_g = sampled_velocity_factor(basis, idx, region)
-    s, w = specineq.kernel_quadrature(kernel)
-    cosh_w = np.cosh(np.outer(s, np.sqrt(basis.lambdas[idx])))
+    q = np.sqrt(basis.lambdas[idx])
+    s, w = specineq.kernel_quadrature(kernel, m_max=2.0 * q.max())
+    cosh_w = np.cosh(np.outer(s, q))
     f = np.empty((len(s), len(idx), len(idx)))
     np.multiply(r_g[None, :, :], cosh_w[:, None, :], out=f)
     f *= (np.sqrt(w) * kernel.kappa(s))[:, None, None]
@@ -197,6 +200,13 @@ def test_mineig_refines_quadrature_for_the_cosh_growth(monkeypatch, basis60,
     mineig_weighted_gramian(basis60, 30.0, region_small, kernel)
     q_max = math.sqrt(basis60.lambdas[basis60.low_indices(30.0)].max())
     assert seen == [2.0 * q_max]
+
+
+def test_kernel_quadrature_that_does_not_converge_raises():
+    # a bump 0.02 wide is still moving by 1.1e-8 at the finest graded rule
+    with pytest.raises(KernelQuadratureError,
+                       match=r"support \(0\.49, 0\.51\).*1\.1\de-08"):
+        specineq.kernel_quadrature(Kernel(1.0, (0.49, 0.51)))
 
 
 def test_mineig_rejects_cutoff_above_basis(basis60, region_small, kernel):
