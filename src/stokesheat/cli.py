@@ -189,7 +189,7 @@ def cmd_observe(cfg, out):
                  preamble=("stokesheat observe schema=1",))
     fits = {"t_sweeps": [], "lambda_sweeps": []}
     for lam in cfg.sweeps.lambda_list:
-        pts = [(t, v) for (l, t, v) in rows if l == lam]
+        pts = sorted((t, v) for (l, t, v) in rows if l == lam)
         entry = {"lambda": lam,
                  "monotone_nonincreasing_in_t":
                      all(pts[i][1] >= pts[i + 1][1] for i in range(len(pts) - 1))}

@@ -154,6 +154,11 @@ def sampled_velocity_factor(basis, indices, region):
     resolve near-dependences of the restricted modes far below what an
     eigendecomposition of the assembled Gramian can see, which is what the
     spectral-inequality and observability solvers need.
+
+    The sample matrix is never formed: per component, column l is
+    kron(sqrt(w1) trig_l(x1), sqrt(w2) profile_l(x2)), so the x1 factor is
+    cut to its eps-rank rows and :func:`stacked_factor_r` stacks them over
+    the x2 nodes (at most 868 rows in the README runs, not 8192).
     """
     idx = np.asarray(indices, dtype=int)
     tab = basis.table
@@ -161,15 +166,25 @@ def sampled_velocity_factor(basis, indices, region):
     nodes_x1 = max(64, math.ceil(0.75 * tab.k[idx].max(initial=1) * (b1 - a1)) + 32)
     x1, w1 = gauss_legendre(nodes_x1, a1, b1)
     x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)
-    sqw = np.sqrt(np.outer(w1, w2))
     rows = []
     for comp in ("u1", "u2"):
         kinds, waves = tab.x1_trig(comp)
         trig = trig_eval(kinds[idx, None], waves[idx, None], x1)
-        samples = trig[:, :, None] * tab.profiles(x2, comp)[idx, None, :]
-        samples *= sqw[None, :, :]
-        rows.append(samples.reshape(len(idx), -1).T)
+        trig_rows = _eps_rank_rows(np.sqrt(w1)[:, None] * trig.T)
+        rows.append(stacked_factor_r(trig_rows, np.sqrt(w2),
+                                     tab.profiles(x2, comp)[idx].T))
     return np.linalg.qr(np.vstack(rows), mode="r")
+
+
+def _eps_rank_rows(a):
+    """Rows S_k V_k^T D whose Gram matrix is a^T a to eps relative per column:
+    D the column norms of a, a D^-1 = U S V^T (taken from R_a D^-1, R_a the
+    QR factor of a, which has the same S and V), s_k > eps * s_1."""
+    d = np.linalg.norm(a, axis=0)
+    d[d == 0.0] = 1.0     # a zero column stays zero
+    _, sv, vt = np.linalg.svd(np.linalg.qr(a, mode="r") / d, full_matrices=False)
+    keep = sv > np.finfo(float).eps * sv[0]
+    return sv[keep, None] * vt[keep] * d
 
 
 # rows of the working buffer of stacked_factor_r, which bounds its working
@@ -182,14 +197,12 @@ def stacked_factor_r(r_g, row_weights, col_scales):
 
     The stack is the column-wise Kronecker (Khatri-Rao) product of r_g and
     A[j, l] = row_weights[j] col_scales[j, l], so its Gram matrix is
-    (r_g^T r_g) o (A^T A).  A is first replaced by a rank-revealing factor
-    with A^T A kept to eps relative per column: with D the column norms of
-    A and A D^-1 = U S V^T, the k rows of S_k V_k^T D whose singular values
-    lie above eps * s_1.  (The SVD is taken of R_A D^-1, R_A the QR factor
-    of A, which has the same S and V.)  The dropped rows move each column
-    of the stack by at most eps * s_1 <= eps sqrt(n) relative, the
-    column-wise backward error the Householder QR of the stack makes
-    anyway, so R keeps the eps * kappa accuracy of the uncompressed stack.
+    (r_g^T r_g) o (A^T A).  A is first replaced by its k eps-rank rows
+    S_k V_k^T D (:func:`_eps_rank_rows`), which keep A^T A to eps relative
+    per column.  The dropped rows move each column of the stack by at most
+    eps * s_1 <= eps sqrt(n) relative, the column-wise backward error the
+    Householder QR of the stack makes anyway, so R keeps the eps * kappa
+    accuracy of the uncompressed stack.
     A's rows sample exponentials (cosh(s sqrt(lam)), exp(-lam t)), whose
     singular values decay geometrically, so k is small: 12 of 512 kernel
     nodes for the 194 modes at Lambda = 400 in the README specineq run.
@@ -202,12 +215,7 @@ def stacked_factor_r(r_g, row_weights, col_scales):
     below the compressed stack's own (all of R when A is zero).
     """
     m, n = r_g.shape
-    a = row_weights[:, None] * col_scales
-    d = np.linalg.norm(a, axis=0)
-    d[d == 0.0] = 1.0     # a zero column stays zero
-    _, sv, vt = np.linalg.svd(np.linalg.qr(a, mode="r") / d, full_matrices=False)
-    keep = sv > np.finfo(float).eps * sv[0]
-    factor = sv[keep, None] * vt[keep] * d
+    factor = _eps_rank_rows(row_weights[:, None] * col_scales)
     per = max(1, (_STACK_ROWS - n) // m)
     buf = np.empty((n + per * m, n))
     r = np.empty((0, n))
@@ -218,7 +226,7 @@ def stacked_factor_r(r_g, row_weights, col_scales):
         chunk = buf[top:top + len(scales) * m].reshape(len(scales), m, n)
         np.multiply(r_g, scales[:, None, :], out=chunk)
         r = np.linalg.qr(buf[:top + len(scales) * m], mode="r")
-    out = np.zeros((min(len(a) * m, n), n))
+    out = np.zeros((min(len(row_weights) * m, n), n))
     out[:len(r)] = r
     return out
 

@@ -5,13 +5,19 @@ The package evaluates modes only through ``EigenBasis.table`` (a
 at a time with the single-mode arithmetic the table must reproduce bit for
 bit (the stream coefficients contracted by ``tensordot``), and back the
 brute-force quadratures the Gramian tests compare against.
+:func:`ref_sampled_velocity_factor` is the sample-matrix QR that
+``hilbert.sampled_velocity_factor`` replaced, the reference for its factor
+and for the full-stack checks of the specineq and observe values.
 """
+
+import math
 
 import numpy as np
 
 from stokesheat.errors import InvalidArgumentError
 from stokesheat.hilbert import StateVector
-from stokesheat.quadrature import COS, SIN, trig_eval
+from stokesheat.quadrature import (COS, GAUSS_NODES_X2, SIN, gauss_legendre,
+                                   trig_eval)
 from stokesheat.spectral import COSINE, TWO_PI, _fundamental
 
 
@@ -88,3 +94,26 @@ def basis_state(basis, j):
     a = np.zeros(len(basis))
     a[j] = 1.0
     return StateVector(basis, a)
+
+
+def ref_sampled_velocity_factor(basis, indices, region):
+    """Upper-triangular R with R^T R = M on ``indices``: the QR of the dense
+    matrix of velocity samples times square-root weights at the tensor
+    Gauss points of ``region``, 2 * nodes_x1 * GAUSS_NODES_X2 rows."""
+    a1, b1 = region.x1
+    k_max = max((basis.modes[j].k for j in indices), default=1)
+    nodes_x1 = max(64, int(math.ceil(0.75 * k_max * (b1 - a1))) + 32)
+    x1, w1 = gauss_legendre(nodes_x1, a1, b1)
+    x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)
+    sqw = np.sqrt(np.outer(w1, w2))
+    rows = []
+    for comp in ("u1", "u2"):
+        tab = np.empty((len(indices), nodes_x1, GAUSS_NODES_X2))
+        for col, j in enumerate(indices):
+            mode = basis.modes[j]
+            kind, wav = mode_x1_trig(mode, comp)
+            tab[col] = np.outer(trig_eval(kind, wav, x1),
+                                mode_profile(mode, x2, comp))
+        tab *= sqw[None, :, :]
+        rows.append(tab.reshape(len(indices), -1).T)
+    return np.linalg.qr(np.vstack(rows), mode="r")

@@ -182,6 +182,21 @@ def test_observe_monotone_reported(tmp_path):
     assert fits["t_sweeps"][0]["monotone_nonincreasing_in_t"] is True
 
 
+def test_observe_monotone_flag_ignores_t_list_order(tmp_path):
+    # the flag compares neighbours in T, not in --t-list order, so a
+    # descending list reports the same sweep entry as the ascending one
+    entries = []
+    for order in ("0.1,0.2,0.4,0.8", "0.8,0.4,0.2,0.1"):
+        out = tmp_path / order.replace(",", "_")
+        code = run_cli(["observe", "--lambda-max", "40", "--lambda-list", "30",
+                        "--t-list", order, "--out-dir", str(out)])
+        assert code == 0
+        entries.append(json.loads((out / "observe_fits.json").read_text())
+                       ["t_sweeps"][0])
+    assert entries[1]["monotone_nonincreasing_in_t"] is True
+    assert entries[1] == entries[0]
+
+
 def test_missing_config_file_exit_code(tmp_path, capsys):
     code = run_cli(["eigens", "--config", str(tmp_path / "nope.json"),
                     "--out-dir", str(tmp_path)])

@@ -29,6 +29,8 @@ from stokesheat.control import (ControlSegment, _exp_integral,
                                 window_observation)
 from stokesheat.spectral import EigenBasis
 
+from mode_reference import ref_sampled_velocity_factor
+
 
 def unit_mix(basis, rng, n_low):
     a = np.zeros(len(basis))
@@ -418,8 +420,9 @@ def test_obs_constant_matches_dense_generalized_eigh(basis60):
 def test_obs_constant_matches_full_stack_within_eps_kappa(basis220,
                                                          monkeypatch):
     # the README observe run: the compressed stack against every time-node
-    # block materialized and factored by one QR, which the value may differ
-    # from by the backward-error floor 2 eps kappa(R)
+    # block of the sample-matrix velocity factor materialized and factored by
+    # one QR, which the value may differ from by the backward-error floor
+    # 2 eps kappa(R)
     region = ObservationRegion((0.0, 0.392699081698724), (0.47, 0.53))
     factors = []
 
@@ -432,6 +435,8 @@ def test_obs_constant_matches_full_stack_within_eps_kappa(basis220,
         got = obs_constant(basis220, 200.0, t_hor, region).value
         with monkeypatch.context() as patch:
             patch.setattr(control, "stacked_factor_r", full_stack_r)
+            patch.setattr(control, "sampled_velocity_factor",
+                          ref_sampled_velocity_factor)
             ref = obs_constant(basis220, 200.0, t_hor, region).value
         svals = np.linalg.svd(factors[-1], compute_uv=False)
         kappa_r = svals[0] / svals[-1]

@@ -425,6 +425,17 @@ def test_stacked_factor_r_matches_full_stack_qr(n, blocks, seed):
             <= 1e-12 * np.abs(gram_ref).max())
 
 
+def graded_scales(rng, n_blocks, n, decades, grading):
+    """Scales graded like the exp(-t lam) and cosh(s q) columns of the
+    observability and spectral-inequality stacks, over ``decades`` decades."""
+    nodes = np.append(np.sort(rng.uniform(0.0, 1.0, n_blocks - 1)), 1.0)
+    rates = np.append(np.sort(rng.uniform(0.0, decades, n - 1)), decades)
+    rates *= math.log(10.0)
+    if grading == "exp":
+        return np.exp(-np.outer(nodes, rates))
+    return np.cosh(np.outer(nodes, np.arccosh(np.exp(rates))))
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 9),
        blocks=st.sampled_from(["fewer", "equal", "more"]),
@@ -433,19 +444,12 @@ def test_stacked_factor_r_matches_full_stack_qr(n, blocks, seed):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_stacked_factor_r_compression_keeps_smallest_singular_value(
         n, blocks, grading, decades, seed):
-    # the scales are graded like the exp(-t lam) and cosh(s q) columns of the
-    # observability and spectral-inequality stacks, over `decades` decades;
-    # the block count falls below, at and above the column count
+    # graded scales; the block count falls below, at and above the column
+    # count
     rng = np.random.default_rng(seed)
     n_blocks = {"fewer": max(1, n - 1), "equal": n,
                 "more": int(rng.integers(n + 1, 4 * n + 2))}[blocks]
-    nodes = np.append(np.sort(rng.uniform(0.0, 1.0, n_blocks - 1)), 1.0)
-    rates = np.append(np.sort(rng.uniform(0.0, decades, n - 1)), decades)
-    rates *= math.log(10.0)
-    if grading == "exp":
-        scales = np.exp(-np.outer(nodes, rates))
-    else:
-        scales = np.cosh(np.outer(nodes, np.arccosh(np.exp(rates))))
+    scales = graded_scales(rng, n_blocks, n, decades, grading)
     r_g = np.triu(rng.standard_normal((n, n)))
     weights = rng.uniform(0.1, 2.0, n_blocks)
     with mock.patch.object(hilbert, "_STACK_ROWS", 48):
@@ -461,6 +465,35 @@ def test_stacked_factor_r_compression_keeps_smallest_singular_value(
     kappa_f = s_ref[0] / s_ref[-1]
     assert (abs(s_got[-1] - s_ref[-1])
             <= 16.0 * np.finfo(float).eps * kappa_f * s_ref[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(10, 13),
+       rows=st.integers(1, 3),
+       grading=st.sampled_from(["exp", "cosh"]),
+       decades=st.floats(8.0, 14.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_factor_r_cut_keeps_column_scaled_smallest_singular_value(
+        n, rows, grading, decades, seed):
+    # sigma_min of the stack scaled by its column norms D, within
+    # eps kappa(F D^-1) of the full stack's.  With a few rows in r_g, as the
+    # cut trig factor in sampled_velocity_factor has, F D^-1 is about as
+    # ill-conditioned as the weights, whose equilibrated singular values for
+    # 10-13 graded columns reach 1e-9 to 1e-15: a cut coarser than eps drops
+    # them, which the absolute bound eps kappa(F) sigma_min(F) cannot see
+    rng = np.random.default_rng(seed)
+    n_blocks = 4 * n
+    scales = graded_scales(rng, n_blocks, n, decades, grading)
+    r_g = np.triu(rng.standard_normal((rows, n)))
+    weights = rng.uniform(0.1, 2.0, n_blocks)
+    got = hilbert.stacked_factor_r(r_g, weights, scales)
+    full = (weights[:, None, None] * (r_g[None] * scales[:, None, :])).reshape(-1, n)
+    d = np.linalg.norm(full, axis=0)
+    s_ref = np.linalg.svd(full / d, compute_uv=False)
+    s_got = np.linalg.svd(got / d, compute_uv=False)
+    kappa = s_ref[0] / s_ref[-1]
+    assert (abs(s_got[-1] - s_ref[-1])
+            <= 4.0 * np.finfo(float).eps * kappa * s_ref[-1])
 
 
 @settings(max_examples=60, deadline=None)

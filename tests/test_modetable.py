@@ -2,7 +2,10 @@
 
 The reference functions below are the per-mode loops that the table
 replaced; every table-backed quantity must reproduce them bit for bit, except
-the modal sums of the augmented field, which reassociate their sums.
+the modal sums of the augmented field, which reassociate their sums, and the
+sampled velocity factor, a different factorization of the same samples that
+is compared with ``mode_reference.ref_sampled_velocity_factor`` to eps
+relative.
 """
 
 import functools
@@ -35,7 +38,8 @@ from stokesheat.quadrature import (
 )
 from stokesheat.spectral import TWO_PI
 
-from mode_reference import mode_profile, mode_x1_trig
+from mode_reference import (mode_profile, mode_x1_trig,
+                            ref_sampled_velocity_factor)
 
 QUARTER = ObservationRegion(x1=(0.0, 0.5 * np.pi), x2=(0.4, 0.6))
 
@@ -63,26 +67,6 @@ def ref_obs_gramian(basis, region):
         x1_ints = trig_pair_matrix(kinds[c], waves[c], *region.x1)
         m += x1_ints * ((vals[c] * w2) @ vals[c].T)
     return 0.5 * (m + m.T)
-
-
-def ref_sampled_velocity_factor(basis, indices, region):
-    a1, b1 = region.x1
-    k_max = max((basis.modes[j].k for j in indices), default=1)
-    nodes_x1 = max(64, int(math.ceil(0.75 * k_max * (b1 - a1))) + 32)
-    x1, w1 = gauss_legendre(nodes_x1, a1, b1)
-    x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)
-    sqw = np.sqrt(np.outer(w1, w2))
-    rows = []
-    for comp in ("u1", "u2"):
-        tab = np.empty((len(indices), nodes_x1, GAUSS_NODES_X2))
-        for col, j in enumerate(indices):
-            mode = basis.modes[j]
-            kind, wav = mode_x1_trig(mode, comp)
-            tab[col] = np.outer(trig_eval(kind, wav, x1),
-                                mode_profile(mode, x2, comp))
-        tab *= sqw[None, :, :]
-        rows.append(tab.reshape(len(indices), -1).T)
-    return np.linalg.qr(np.vstack(rows), mode="r")
 
 
 def ref_trace_gramian(basis):
@@ -220,12 +204,23 @@ def test_trace_and_rayleigh_bit_equal_to_per_mode_loop(basis400):
                           ref_rayleigh_matrix(basis400))
 
 
-def test_sampled_velocity_factor_bit_equal_to_per_mode_loop(basis400):
+def test_sampled_velocity_factor_matches_sample_matrix_qr(basis400):
+    # the Khatri-Rao factor against the QR of the whole sample matrix: the
+    # Gram matrix to 1e-13 of its column norms, and the column-scaled
+    # sigma_min within the eps * kappa(R D^-1) the sample-matrix QR makes too
+    eps = np.finfo(float).eps
     for lam_cap in (25.0, 100.0, 400.0):
         idx = basis400.low_indices(lam_cap)
         got = sampled_velocity_factor(basis400, idx, QUARTER)
-        assert np.array_equal(got, ref_sampled_velocity_factor(basis400, idx,
-                                                               QUARTER))
+        ref = ref_sampled_velocity_factor(basis400, idx, QUARTER)
+        assert got.shape == ref.shape
+        gram_ref = ref.T @ ref
+        col = np.sqrt(np.diag(gram_ref))
+        assert np.all(np.abs(got.T @ got - gram_ref) <= 1e-13 * np.outer(col, col))
+        s_ref = np.linalg.svd(ref / col, compute_uv=False)
+        s_got = np.linalg.svd(got / col, compute_uv=False)
+        kappa = s_ref[0] / s_ref[-1]
+        assert abs(s_got[-1] - s_ref[-1]) <= eps * kappa * s_ref[-1]
 
 
 def test_augmented_sums_match_per_mode_loop(basis400):

@@ -17,10 +17,9 @@ from stokesheat import (
 from stokesheat import specineq
 from stokesheat.errors import KernelQuadratureError
 from stokesheat.specineq import mineig_weighted_gramian, weighted_gramian
-from stokesheat.hilbert import sampled_velocity_factor
 from stokesheat.quadrature import gauss_legendre
 
-from mode_reference import eval_mode
+from mode_reference import eval_mode, ref_sampled_velocity_factor
 
 
 @pytest.fixture(scope="module")
@@ -145,12 +144,12 @@ def test_mineig_matches_dense_eigvalsh_on_readme_basis(basis500, region_small,
 
 def full_stack_mineig(basis, lam_cap, region, kernel):
     """The full-stack min-eig path the streamed one replaced: every weighted
-    block over the same kernel rule materialized, then one QR.  The blocks
-    are formed in place (the same products in the same order) to spare a
-    stack-sized temporary.
+    block of the sample-matrix velocity factor over the same kernel rule
+    materialized, then one QR.  The blocks are formed in place (the same
+    products in the same order) to spare a stack-sized temporary.
     Returns min_eig and the condition number of the stacked factor."""
     idx = basis.low_indices(lam_cap)
-    r_g = sampled_velocity_factor(basis, idx, region)
+    r_g = ref_sampled_velocity_factor(basis, idx, region)
     q = np.sqrt(basis.lambdas[idx])
     s, w = specineq.kernel_quadrature(kernel, m_max=2.0 * q.max())
     cosh_w = np.cosh(np.outer(s, q))
@@ -165,8 +164,9 @@ def full_stack_mineig(basis, lam_cap, region, kernel):
 
 def test_mineig_matches_full_stack_within_eps_kappa(basis500, region_small,
                                                     kernel):
-    # README cutoffs; the streamed QR reorders the arithmetic, so each value
-    # may move by the backward-error floor 2 eps kappa(F) of min_eig
+    # README cutoffs; the compressed velocity factor and the streamed QR
+    # reorder the arithmetic, so each value may move by the backward-error
+    # floor 2 eps kappa(F) of min_eig
     for lam_cap in (25.0, 50.0, 100.0, 200.0, 400.0):
         ref, kappa_f = full_stack_mineig(basis500, lam_cap, region_small, kernel)
         got = mineig_weighted_gramian(basis500, lam_cap, region_small, kernel)
