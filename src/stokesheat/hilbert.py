@@ -357,13 +357,24 @@ def save_basis(basis, path):
     atomic_write(path, basis_document(basis))
 
 
+def _finite_number(text):
+    """A JSON number or constant as a float; the writer emits only finite
+    ones, so NaN, an infinity or a literal that overflows is rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def load_basis(path):
-    """Reload a basis cache; rejects version mismatch, malformed files and a
-    cutoff or lambda order that contradicts the build."""
+    """Reload a basis cache; rejects version mismatch, malformed files, any
+    non-finite number and a cutoff or lambda order that contradicts the
+    build."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            doc = json.load(fh, parse_float=_finite_number,
+                            parse_constant=_finite_number)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
         raise BasisFormatError(f"basis cache {path!r} is malformed: {exc}") from exc
     if not isinstance(doc, dict):
         raise BasisFormatError("basis cache root must be an object")

@@ -140,27 +140,6 @@ class EigenBasis:
         return np.nonzero(self.lambdas <= lam_cap)[0]
 
 
-def _fundamental(k, lam, x, deriv):
-    """Values of d^deriv/dx^deriv of the four fundamental solutions at x.
-
-    Returns an array of shape (4,) + shape(x).
-    """
-    x = np.asarray(x, dtype=float)
-    kk = float(k)
-    rows = np.empty((4,) + x.shape)
-    rows[0] = (-kk) ** deriv * np.exp(-kk * x)
-    rows[1] = kk ** deriv * np.exp(kk * (x - 1.0))
-    if lam > kk * kk:
-        b = math.sqrt(lam - kk * kk)
-        rows[2] = b ** deriv * np.cos(b * x + deriv * 0.5 * np.pi)
-        rows[3] = b ** deriv * np.sin(b * x + deriv * 0.5 * np.pi)
-    else:
-        mu = math.sqrt(kk * kk - lam)
-        rows[2] = (-mu) ** deriv * np.exp(-mu * x)
-        rows[3] = mu ** deriv * np.exp(mu * (x - 1.0))
-    return rows
-
-
 def branch_of(k, lam):
     if abs(lam - k * k) <= degeneracy_tolerance(k):
         raise DegenerateBranchError(
@@ -169,13 +148,41 @@ def branch_of(k, lam):
 
 
 def _boundary_matrix(k, lam):
-    """Row-normalized 4x4 boundary condition matrix of the stream ODE."""
-    rows = np.empty((4, 4))
-    rows[0] = _fundamental(k, lam, 0.0, 0)
-    rows[1] = _fundamental(k, lam, 0.0, 1)
-    rows[2] = _fundamental(k, lam, 1.0, 1)
-    rows[3] = (k * k * (k * k - lam) * _fundamental(k, lam, 1.0, 0)
-               - _fundamental(k, lam, 1.0, 3))
+    """Row-normalized 4x4 boundary condition matrix of the stream ODE.
+
+    The fundamental system's values at x2 = 0 and 1 are written out from
+    one numpy exp of -k (and of -mu on the evanescent branch; math.exp may
+    round differently), one cos and one sin of the four trig arguments, and
+    powers on Python floats (C pow).  Each entry repeats the arithmetic of
+    the per-point reference evaluator, so the matrix is bit for bit
+    ``ref_boundary_matrix`` of ``tests/mode_reference.py``.
+    """
+    kk = float(k)
+    # v00, d01, d11, v10, d13: solutions 3 and 4 at (x2, derivative order)
+    # (0, 0), (0, 1), (1, 1), (1, 0) and (1, 3)
+    if lam > kk * kk:
+        b = math.sqrt(lam - kk * kk)
+        (ek,) = np.exp([-kk]).tolist()
+        args = np.array([b * 0.0 + 1 * 0.5 * np.pi, b * 1.0 + 1 * 0.5 * np.pi,
+                         b * 1.0 + 0 * 0.5 * np.pi, b * 1.0 + 3 * 0.5 * np.pi])
+        c01, c11, c10, c13 = np.cos(args).tolist()
+        s01, s11, s10, s13 = np.sin(args).tolist()
+        v00, d01, d11, v10, d13 = ((1.0, 0.0), (b * c01, b * s01),
+                                   (b * c11, b * s11), (c10, s10),
+                                   (b ** 3 * c13, b ** 3 * s13))
+    else:
+        mu = math.sqrt(kk * kk - lam)
+        ek, em = np.exp([-kk, -mu]).tolist()
+        v00, d01, d11, v10, d13 = ((1.0, em), (-mu, mu * em), (-mu * em, mu),
+                                   (em, 1.0), ((-mu) ** 3 * em, mu ** 3))
+    coef = k * k * (k * k - lam)
+    rows = np.array([
+        (1.0, ek) + v00,
+        (-kk, kk * ek) + d01,
+        (-kk * ek, kk) + d11,
+        (coef * ek - (-kk) ** 3 * ek, coef - kk ** 3,
+         coef * v10[0] - d13[0], coef * v10[1] - d13[1]),
+    ])
     scale = np.abs(rows).max(axis=1, keepdims=True)
     return rows / scale
 
@@ -206,9 +213,12 @@ def _powers(values, deriv):
 
 
 def _fundamental_rows(k, s, oscillatory, x, deriv):
-    """:func:`_fundamental` bit for bit at many (k, lam) of one branch, shape
-    (len(s), 4, len(x)): row i has branch root ``s[i]`` = sqrt(|lam - k**2|)
-    and integer wavenumber ``k[i]``, or ``k[0]`` if ``k`` has one entry."""
+    """The fundamental system at many (k, lam) of one branch, shape
+    (len(s), 4, len(x)), bit for bit the per-point reference ``_fundamental``
+    of ``tests/mode_reference.py`` (which also holds the reference
+    ``ref_boundary_matrix`` and ``ref_stream_norm``): row i has branch root
+    ``s[i]`` = sqrt(|lam - k**2|) and integer wavenumber ``k[i]``, or
+    ``k[0]`` if ``k`` has one entry."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     kk, s_col = np.asarray(k, dtype=float)[:, None], s[:, None]
     rows = np.empty((len(s), 4, len(x)))
@@ -305,12 +315,36 @@ def refine_root(k, bracket, tol=1e-12):
 
 
 def _stream_norm(k, lam, c):
-    """H-norm of the unnormalized mode pair built from stream coefficients."""
+    """H-norm of the unnormalized mode pair built from stream coefficients,
+    and phi(1).
+
+    phi and phi' at the x2 Gauss nodes and phi at x2 = 1 come from one set
+    of exponentials (and of cos and sin on the oscillatory branch).  Each
+    value repeats the arithmetic of the per-point reference evaluator, so
+    both results are bit for bit ``ref_stream_norm`` and phi(1) of
+    ``tests/mode_reference.py``.
+    """
     x, w = gauss_legendre(GAUSS_NODES_X2, 0.0, 1.0)
-    phi = c @ _fundamental(k, lam, x, 0)
-    dphi = c @ _fundamental(k, lam, x, 1)
-    phi1 = float(c @ _fundamental(k, lam, 1.0, 0))
-    return math.sqrt(np.pi * (np.dot(w, (dphi / k) ** 2 + phi ** 2) + phi1 ** 2))
+    x = np.append(x, 1.0)  # the nodes, then the top wall
+    kk = float(k)
+    val, der = np.empty((4, len(x))), np.empty((4, len(x)))
+    val[0] = np.exp(-kk * x)
+    val[1] = np.exp(kk * (x - 1.0))
+    der[0], der[1] = -kk * val[0], kk * val[1]
+    if lam > kk * kk:
+        b = math.sqrt(lam - kk * kk)
+        args = b * x + np.array([[0 * 0.5 * np.pi], [1 * 0.5 * np.pi]])
+        (val[2], c1), (val[3], s1) = np.cos(args), np.sin(args)
+        der[2], der[3] = b * c1, b * s1
+    else:
+        mu = math.sqrt(kk * kk - lam)
+        val[2] = np.exp(-mu * x)
+        val[3] = np.exp(mu * (x - 1.0))
+        der[2], der[3] = -mu * val[2], mu * val[3]
+    phi, dphi = c @ val[:, :-1], c @ der[:, :-1]
+    # a contiguous copy: a strided dot may add the four terms in another order
+    phi1 = float(c @ val[:, -1].copy())
+    return math.sqrt(np.pi * (np.dot(w, (dphi / k) ** 2 + phi ** 2) + phi1 ** 2)), phi1
 
 
 def build_mode(k, lam, phase, n=0):
@@ -339,8 +373,8 @@ def build_mode(k, lam, phase, n=0):
     pivot = int(np.argmax(np.abs(c)))
     if c[pivot] < 0:
         c = -c
-    nf = 1.0 / _stream_norm(k, lam, c)
-    phi1 = float(np.asarray(c) @ _fundamental(k, lam, 1.0, 0))
+    norm, phi1 = _stream_norm(k, lam, c)
+    nf = 1.0 / norm
     return EigenMode(k=int(k), n=int(n), lam=float(lam), phase=phase,
                      c=tuple(float(v) for v in c), norm_factor=nf,
                      amplitude=0.0, eta_trace=phi1 * nf)

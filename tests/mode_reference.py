@@ -8,6 +8,13 @@ brute-force quadratures the Gramian tests compare against.
 :func:`ref_sampled_velocity_factor` is the sample-matrix QR that
 ``hilbert.sampled_velocity_factor`` replaced, the reference for its factor
 and for the full-stack checks of the specineq and observe values.
+
+:func:`_fundamental` is the generic per-point evaluator of the fundamental
+system that ``spectral`` used before its boundary matrix and mode norm were
+written out.  :func:`ref_boundary_matrix` and :func:`ref_stream_norm` are
+those two builders on top of it, which ``spectral._boundary_matrix`` and
+``spectral._stream_norm`` must match bit for bit, and :func:`ref_build_mode`
+assembles a mode from them as ``spectral.build_mode`` does.
 """
 
 import math
@@ -18,7 +25,64 @@ from stokesheat.errors import InvalidArgumentError
 from stokesheat.hilbert import StateVector
 from stokesheat.quadrature import (COS, GAUSS_NODES_X2, SIN, gauss_legendre,
                                    trig_eval)
-from stokesheat.spectral import COSINE, TWO_PI, _fundamental
+from stokesheat.spectral import COSINE, TWO_PI, EigenMode
+
+
+def _fundamental(k, lam, x, deriv):
+    """Values of d^deriv/dx^deriv of the four fundamental solutions at x.
+
+    Returns an array of shape (4,) + shape(x).
+    """
+    x = np.asarray(x, dtype=float)
+    kk = float(k)
+    rows = np.empty((4,) + x.shape)
+    rows[0] = (-kk) ** deriv * np.exp(-kk * x)
+    rows[1] = kk ** deriv * np.exp(kk * (x - 1.0))
+    if lam > kk * kk:
+        b = math.sqrt(lam - kk * kk)
+        rows[2] = b ** deriv * np.cos(b * x + deriv * 0.5 * np.pi)
+        rows[3] = b ** deriv * np.sin(b * x + deriv * 0.5 * np.pi)
+    else:
+        mu = math.sqrt(kk * kk - lam)
+        rows[2] = (-mu) ** deriv * np.exp(-mu * x)
+        rows[3] = mu ** deriv * np.exp(mu * (x - 1.0))
+    return rows
+
+
+def ref_boundary_matrix(k, lam):
+    """Row-normalized 4x4 boundary condition matrix of the stream ODE."""
+    rows = np.empty((4, 4))
+    rows[0] = _fundamental(k, lam, 0.0, 0)
+    rows[1] = _fundamental(k, lam, 0.0, 1)
+    rows[2] = _fundamental(k, lam, 1.0, 1)
+    rows[3] = (k * k * (k * k - lam) * _fundamental(k, lam, 1.0, 0)
+               - _fundamental(k, lam, 1.0, 3))
+    scale = np.abs(rows).max(axis=1, keepdims=True)
+    return rows / scale
+
+
+def ref_stream_norm(k, lam, c):
+    """H-norm of the unnormalized mode pair built from stream coefficients."""
+    x, w = gauss_legendre(GAUSS_NODES_X2, 0.0, 1.0)
+    phi = c @ _fundamental(k, lam, x, 0)
+    dphi = c @ _fundamental(k, lam, x, 1)
+    phi1 = float(c @ _fundamental(k, lam, 1.0, 0))
+    return math.sqrt(np.pi * (np.dot(w, (dphi / k) ** 2 + phi ** 2) + phi1 ** 2))
+
+
+def ref_build_mode(k, lam, phase, n=0):
+    """``spectral.build_mode`` at a root, from the reference boundary matrix
+    and mode norm: the smallest singular direction, its largest entry made
+    positive, scaled to unit norm."""
+    _, _, vt = np.linalg.svd(ref_boundary_matrix(k, lam))
+    c = vt[3]
+    if c[int(np.argmax(np.abs(c)))] < 0:
+        c = -c
+    nf = 1.0 / ref_stream_norm(k, lam, c)
+    phi1 = float(np.asarray(c) @ _fundamental(k, lam, 1.0, 0))
+    return EigenMode(k=int(k), n=int(n), lam=float(lam), phase=phase,
+                     c=tuple(float(v) for v in c), norm_factor=nf,
+                     amplitude=0.0, eta_trace=phi1 * nf)
 
 
 def stream_eval(mode, x2, deriv=0):

@@ -102,6 +102,24 @@ def test_eigens_corrupted_cache_rebuilds(tmp_path, capsys):
     assert load_basis(cache).cutoff == 30.0
 
 
+def test_control_rebuilds_a_cache_with_a_non_finite_number(tmp_path, capsys):
+    cache = tmp_path / "b.json"
+    assert run_cli(["eigens", "--lambda-max", "60", "--cache", str(cache),
+                    "--out-dir", str(tmp_path / "eigens")]) == 0
+    text, count = re.subn(r'"norm_factor": [^,\n]+', '"norm_factor": NaN',
+                          cache.read_text(), count=1)
+    assert count == 1
+    cache.write_text(text)
+    capsys.readouterr()
+    code = run_cli(["control", "--lambda-max", "60", "--lambda-cap", "50",
+                    "--z0-modes", "10", "--cache", str(cache),
+                    "--out-dir", str(tmp_path / "control")])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "non-finite number NaN" in err and "rebuilding" in err
+    assert strict_json(cache)["cutoff"] == 60.0
+
+
 def test_eigens_cache_with_edited_cutoff_rebuilds(tmp_path, capsys):
     cache = tmp_path / "b.json"
     args = ["eigens", "--lambda-max", "60", "--cache", str(cache)]

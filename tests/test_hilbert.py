@@ -400,6 +400,48 @@ def test_load_rejects_lambda_above_cutoff(tmp_path, basis60):
         load_basis(_edited_cache(tmp_path, basis60, lower_cutoff))
 
 
+def _zero_record(doc):
+    return next(r for r in doc["modes"] if r["k"] == 0)
+
+
+def _stream_record(doc):
+    return next(r for r in doc["modes"] if r["k"] >= 1)
+
+
+# every number a cache holds: (container, key) of one occurrence
+CACHE_NUMBERS = {
+    "cutoff": lambda doc: (doc, "cutoff"),
+    "k_range": lambda doc: (doc, "k_range"),
+    "metadata.lambda_max": lambda doc: (doc["metadata"], "lambda_max"),
+    "metadata.refine_tol": lambda doc: (doc["metadata"], "refine_tol"),
+    "k0.k": lambda doc: (_zero_record(doc), "k"),
+    "k0.n": lambda doc: (_zero_record(doc), "n"),
+    "k0.lambda": lambda doc: (_zero_record(doc), "lambda"),
+    "k0.amplitude": lambda doc: (_zero_record(doc), "amplitude"),
+    "k0.eta_trace": lambda doc: (_zero_record(doc), "eta_trace"),
+    "k1.k": lambda doc: (_stream_record(doc), "k"),
+    "k1.lambda": lambda doc: (_stream_record(doc), "lambda"),
+    "k1.c": lambda doc: (_stream_record(doc)["c"], 2),
+    "k1.norm_factor": lambda doc: (_stream_record(doc), "norm_factor"),
+    "k1.eta_trace": lambda doc: (_stream_record(doc), "eta_trace"),
+}
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("field", list(CACHE_NUMBERS))
+def test_load_rejects_non_finite_number(tmp_path, basis60, field, token):
+    # the writer never emits these; json reads the first three as constants
+    # and 1e999 overflows to inf
+    path = tmp_path / "basis.json"
+    save_basis(basis60, path)
+    doc = json.loads(path.read_text())
+    holder, key = CACHE_NUMBERS[field](doc)
+    holder[key] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', token))
+    with pytest.raises(BasisFormatError, match="non-finite"):
+        load_basis(path)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 9),
        blocks=st.sampled_from(["fewer", "one", "one_plus_one", "n_over_rows"]),

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,9 @@ from stokesheat.spectral import (bracket_roots, build_mode, dispersion,
                                  refine_root)
 from stokesheat.quadrature import trig_pair_integral, COS
 
-from mode_reference import eval_mode, mode_profile, mode_x1_trig, stream_eval
+from mode_reference import (_fundamental, eval_mode, mode_profile, mode_x1_trig,
+                            ref_boundary_matrix, ref_build_mode,
+                            ref_stream_norm, stream_eval)
 
 
 def test_zero_mode_values():
@@ -129,6 +133,48 @@ def test_batched_boundary_determinants_match_scalar(point):
                        for lam in lams])
     assert np.array_equal(np.sign(batched), np.sign(scalar))
     assert np.abs(batched - scalar).max() <= 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(branch_points())
+def test_boundary_matrix_is_bit_equal_to_reference(point):
+    # the batched-vs-scalar check above allows 1e-14 and cannot see a last
+    # bit; every root refinement and mode build reads this matrix
+    k, lams = point
+    for lam in lams:
+        assert (spectral._boundary_matrix(k, lam).tobytes()
+                == ref_boundary_matrix(k, lam).tobytes()), (k, lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(branch_points(), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_stream_norm_is_bit_equal_to_reference(point, c):
+    # both branches: build_mode only ever sees oscillatory roots
+    k, lams = point
+    c = np.array(c)
+    for lam in lams:
+        got = np.array(spectral._stream_norm(k, lam, c))
+        want = np.array([ref_stream_norm(k, lam, c),
+                         float(c @ _fundamental(k, lam, 1.0, 0))])
+        assert got.tobytes() == want.tobytes(), (k, lam)
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_roots(k):
+    return np.array(sector_eigenvalues(k, k * k + 2000.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(branch_points(), st.sampled_from(["cosine", "sine"]))
+def test_build_mode_is_bit_equal_to_reference(point, phase):
+    # the roots of sector k nearest above the drawn points; the first one
+    # lies just above k**2
+    k, lams = point
+    roots = _sector_roots(k)
+    for i in np.unique(np.minimum(np.searchsorted(roots, lams), len(roots) - 1)):
+        lam = float(roots[i])
+        assert (repr(build_mode(k, lam, phase, n=int(i) + 1))
+                == repr(ref_build_mode(k, lam, phase, n=int(i) + 1))), (k, lam)
 
 
 def test_bracket_roots_match_scalar_scan(monkeypatch):
