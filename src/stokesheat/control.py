@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InvalidArgumentError, ObservabilityDefectError
 from .fitting import linear_fit
@@ -366,10 +365,12 @@ def obs_constant(basis, lam_cap, t_horizon, region, defect_threshold=1e-13):
     :func:`stacked_factor_r` compresses (a Khatri-Rao product) to one copy
     per singular value of the column-equilibrated exp(-lam t) weights above
     eps, 18 to 27 of 224 to 320 in the README observe run, and QR-factors
-    block by block.  The symmetric reduction becomes
-    the largest singular value of diag(exp(-lam T)) R^-1; this resolves
-    constants across twice the dynamic range a dense eigensolve of the
-    assembled O could, to about 2 eps kappa(R) relative.
+    block by block.  With D = diag(exp(-lam T)) and the SVD R = U S V^T of
+    the defect check, D R^-1 = (D V S^-1) U^T: C_obs = sigma_max(D V S^-1)^2,
+    attained at ``direction`` = V S^-1 y_1 (y_1 the top right singular
+    vector), unit-normed with its largest-magnitude entry positive.  This
+    resolves constants across twice the dynamic range a dense eigensolve of
+    the assembled O could, to about 2 eps kappa(R) relative.
 
     Raises ObservabilityDefectError, carrying the least visible coefficient
     direction, when O is singular below ``defect_threshold`` (relative
@@ -385,20 +386,20 @@ def obs_constant(basis, lam_cap, t_horizon, region, defect_threshold=1e-13):
     t, wt = _window_time_nodes(t_horizon, float(lams.max()))
     r_fac = stacked_factor_r(r_g, np.sqrt(wt), np.exp(-np.outer(t, lams)))
     _, svals, vt = np.linalg.svd(r_fac)
+    direction = np.zeros(len(basis.lambdas))
     if svals[-1] <= defect_threshold * svals[0]:
-        direction = np.zeros(len(basis.lambdas))
         direction[idx] = vt[-1]
         raise ObservabilityDefectError(
             f"observation Gramian numerically singular (relative smallest "
             f"singular value {svals[-1] / svals[0]:.3e})", direction=direction)
-    d_mat = np.diag(np.exp(-lams * t_horizon))
-    x = solve_triangular(r_fac.T, d_mat, lower=True).T
-    u_x, s_x, vt_x = np.linalg.svd(x)
-    best = solve_triangular(r_fac, vt_x[0], lower=False)
+    y = np.exp(-lams * t_horizon)[:, None] * vt.T / svals
+    _, s_y, vt_y = np.linalg.svd(y)
+    best = vt.T @ (vt_y[0] / svals)
     best /= np.linalg.norm(best)
-    direction = np.zeros(len(basis.lambdas))
+    if best[np.argmax(np.abs(best))] < 0:
+        best = -best
     direction[idx] = best
-    return ObservabilityConstant(value=float(s_x[0] ** 2), indices=idx,
+    return ObservabilityConstant(value=float(s_y[0] ** 2), indices=idx,
                                  direction=direction)
 
 

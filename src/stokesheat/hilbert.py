@@ -187,8 +187,8 @@ def _eps_rank_rows(a):
     return sv[keep, None] * vt[keep] * d
 
 
-# rows of the working buffer of stacked_factor_r, which bounds its working
-# memory to O(_STACK_ROWS * n)
+# rows per incremental-QR chunk of stacked_factor_r (R included), which
+# bounds its working memory to O(_STACK_ROWS * n)
 _STACK_ROWS = 8192
 
 
@@ -209,23 +209,18 @@ def stacked_factor_r(r_g, row_weights, col_scales):
     The stack becomes the k blocks r_g diag((S_k V_k^T D)[p]), k * m rows.
 
     The blocks are streamed through an incremental QR, R <- qr([R; chunk])
-    (TSQR), in one buffer of about ``_STACK_ROWS`` rows, so the working
-    memory is O(rows * n) whatever the number of blocks.  R has the shape
-    of the uncompressed stack's factor, min(n_s * m, n) x n, with zero rows
-    below the compressed stack's own (all of R when A is zero).
+    (TSQR), in chunks of about ``_STACK_ROWS`` rows, R included, so the
+    working memory is O(rows * n) whatever the number of blocks.  R has the
+    shape of the uncompressed stack's factor, min(n_s * m, n) x n, with zero
+    rows below the compressed stack's own (all of R when A is zero).
     """
     m, n = r_g.shape
     factor = _eps_rank_rows(row_weights[:, None] * col_scales)
     per = max(1, (_STACK_ROWS - n) // m)
-    buf = np.empty((n + per * m, n))
     r = np.empty((0, n))
     for start in range(0, len(factor), per):
-        scales = factor[start:start + per]
-        top = len(r)
-        buf[:top] = r
-        chunk = buf[top:top + len(scales) * m].reshape(len(scales), m, n)
-        np.multiply(r_g, scales[:, None, :], out=chunk)
-        r = np.linalg.qr(buf[:top + len(scales) * m], mode="r")
+        chunk = r_g * factor[start:start + per, None, :]
+        r = np.linalg.qr(np.vstack((r, chunk.reshape(-1, n))), mode="r")
     out = np.zeros((min(len(row_weights) * m, n), n))
     out[:len(r)] = r
     return out
@@ -298,11 +293,18 @@ def _mode_record(mode):
     return rec
 
 
+def _json_int(value, name):
+    """``value`` if it is a JSON integer; a float, string or bool is rejected."""
+    if type(value) is not int:
+        raise BasisFormatError(f"{name} {value!r} is not an integer")
+    return value
+
+
 def _mode_from_record(rec):
     """The mode of a cache record; a k >= 1 record's ``branch`` must be the
     one its lambda lies on, and its phase cosine or sine (None at k = 0)."""
     try:
-        k = int(rec["k"])
+        k = _json_int(rec["k"], "k")
         lam = float(rec["lambda"])
         if k == 0:
             c, norm_factor, amplitude = (0.0,) * 4, 0.0, float(rec["amplitude"])
@@ -318,8 +320,8 @@ def _mode_from_record(rec):
         phase = rec["phase"]
         if phase not in ((None,) if k == 0 else (COSINE, SINE)):
             raise BasisFormatError(f"phase {phase!r} is not valid at k={k}")
-        return EigenMode(k=k, n=int(rec["n"]), lam=lam, phase=phase, c=c,
-                         norm_factor=norm_factor, amplitude=amplitude,
+        return EigenMode(k=k, n=_json_int(rec["n"], "n"), lam=lam, phase=phase,
+                         c=c, norm_factor=norm_factor, amplitude=amplitude,
                          eta_trace=float(rec["eta_trace"]))
     except (KeyError, TypeError, ValueError, DegenerateBranchError) as exc:
         raise BasisFormatError(f"malformed mode record: {exc}") from exc
@@ -368,8 +370,8 @@ def _finite_number(text):
 
 def load_basis(path):
     """Reload a basis cache; rejects version mismatch, malformed files, any
-    non-finite number and a cutoff or lambda order that contradicts the
-    build."""
+    non-finite number, a k, n or k_range that is not a JSON integer, and a
+    cutoff or lambda order that contradicts the build."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_finite_number,
@@ -385,7 +387,7 @@ def load_basis(path):
     try:
         modes = tuple(_mode_from_record(rec) for rec in doc["modes"])
         basis = EigenBasis(cutoff=float(doc["cutoff"]),
-                           k_range=int(doc["k_range"]),
+                           k_range=_json_int(doc["k_range"], "k_range"),
                            modes=modes, metadata=dict(doc["metadata"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise BasisFormatError(f"basis cache {path!r} is malformed: {exc}") from exc

@@ -314,6 +314,12 @@ def refine_root(k, bracket, tol=1e-12):
             f"no sign change of the dispersion over ({lo}, {hi}): {exc}") from exc
 
 
+# _stream_norm's read-only x2 Gauss rule: the nodes, then the top wall x2 = 1
+_NORM_X, _NORM_W = gauss_legendre(GAUSS_NODES_X2, 0.0, 1.0)
+_NORM_X = np.append(_NORM_X, 1.0)
+_NORM_X.flags.writeable = _NORM_W.flags.writeable = False
+
+
 def _stream_norm(k, lam, c):
     """H-norm of the unnormalized mode pair built from stream coefficients,
     and phi(1).
@@ -324,8 +330,7 @@ def _stream_norm(k, lam, c):
     both results are bit for bit ``ref_stream_norm`` and phi(1) of
     ``tests/mode_reference.py``.
     """
-    x, w = gauss_legendre(GAUSS_NODES_X2, 0.0, 1.0)
-    x = np.append(x, 1.0)  # the nodes, then the top wall
+    x, w = _NORM_X, _NORM_W
     kk = float(k)
     val, der = np.empty((4, len(x))), np.empty((4, len(x)))
     val[0] = np.exp(-kk * x)

@@ -1,6 +1,7 @@
 """The import contract: every name the README library example and the demos
 import from ``stokesheat`` is exported, and the export list stays small; the
-README library example also runs as written."""
+README library example also runs as written; and scipy is imported only by
+root refinement and the oracle."""
 
 import ast
 import inspect
@@ -53,3 +54,21 @@ def test_readme_example_runs():
     exec(compile(readme_example(), "README.md", "exec"), scope)
     report = scope["report"]
     assert report.final_norm / report.initial_norm <= 1e-4
+
+
+def imports_scipy(path):
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.add(node.module)
+    return any(m == "scipy" or m.startswith("scipy.") for m in modules)
+
+
+def test_scipy_is_imported_only_by_root_refinement_and_the_oracle():
+    # spectral takes brentq, and the oracle is the independent reference;
+    # the square-root-factor path runs on numpy's BLAS alone
+    importers = {path.stem for path in (ROOT / "src" / "stokesheat").glob("*.py")
+                 if imports_scipy(path)}
+    assert importers <= {"spectral", "oracle"}, sorted(importers)

@@ -412,9 +412,17 @@ def test_obs_constant_matches_dense_generalized_eigh(basis60):
             ref = eigh(np.diag(np.exp(-2.0 * lams * t_hor)), o_mat,
                        eigvals_only=True)[-1]
             o_eigs = np.linalg.eigvalsh(o_mat)
-            got = obs_constant(basis60, lam_cap, t_hor, region).value
-            assert (abs(got / ref - 1.0)
-                    <= 10.0 * np.finfo(float).eps * o_eigs[-1] / o_eigs[0])
+            tol = 10.0 * np.finfo(float).eps * o_eigs[-1] / o_eigs[0]
+            c = obs_constant(basis60, lam_cap, t_hor, region)
+            assert abs(c.value / ref - 1.0) <= tol
+            # the direction attains the value, lives on the low modes and
+            # has its largest-magnitude entry positive
+            z = c.direction[c.indices]
+            ratio = (np.sum((np.exp(-lams * t_hor) * z) ** 2)
+                     / (z @ o_mat @ z))
+            assert abs(ratio / c.value - 1.0) <= tol
+            assert not np.delete(c.direction, c.indices).any()
+            assert c.direction[np.argmax(np.abs(c.direction))] > 0.0
 
 
 def test_obs_constant_matches_full_stack_within_eps_kappa(basis220,

@@ -442,6 +442,30 @@ def test_load_rejects_non_finite_number(tmp_path, basis60, field, token):
         load_basis(path)
 
 
+def _record_with(doc, **fields):
+    return next(r for r in doc["modes"]
+                if all(r[key] == value for key, value in fields.items()))
+
+
+# edits that int() once read as the original k, n or k_range, so the cache
+# loaded with its original basis_id
+NON_INTEGER_EDITS = {
+    "k 2.9": lambda doc: _record_with(doc, k=2).update(k=2.9),
+    "k true": lambda doc: _record_with(doc, k=1).update(k=True),
+    "n string": lambda doc: _record_with(doc, n=1).update(n="1"),
+    "n 1.0": lambda doc: _record_with(doc, n=1).update(n=1.0),
+    "k_range 6.5": lambda doc: doc.update(k_range=6.5),
+}
+
+
+@pytest.mark.parametrize("edit", list(NON_INTEGER_EDITS))
+def test_load_rejects_integer_field_that_is_not_a_json_integer(tmp_path,
+                                                               basis60, edit):
+    path = _edited_cache(tmp_path, basis60, NON_INTEGER_EDITS[edit])
+    with pytest.raises(BasisFormatError, match="is not an integer"):
+        load_basis(path)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 9),
        blocks=st.sampled_from(["fewer", "one", "one_plus_one", "n_over_rows"]),
