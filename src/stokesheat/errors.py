@@ -20,7 +20,8 @@ class InvalidBracketError(StokesHeatError):
 
 class NotAnEigenvalueError(StokesHeatError):
     """Mode construction requested at a lambda that does not annihilate
-    the boundary matrix."""
+    the boundary matrix, or a root refinement that ran out of iterations
+    before it resolved one."""
 
 
 class MultiplicityError(StokesHeatError):

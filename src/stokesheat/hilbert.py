@@ -368,37 +368,49 @@ def _finite_number(text):
     return value
 
 
+def _basis_from_document(doc):
+    """The basis of a parsed cache document; a rejected mode record is named
+    by its index."""
+    if not isinstance(doc, dict):
+        raise BasisFormatError("the root must be an object")
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise BasisVersionError(
+            f"schema {version!r} unsupported (want {SCHEMA_VERSION})")
+    modes = []
+    for i, rec in enumerate(doc["modes"]):
+        try:
+            modes.append(_mode_from_record(rec))
+        except BasisFormatError as exc:
+            raise BasisFormatError(f"modes[{i}]: {exc}") from exc
+    basis = EigenBasis(cutoff=float(doc["cutoff"]),
+                       k_range=_json_int(doc["k_range"], "k_range"),
+                       modes=tuple(modes), metadata=dict(doc["metadata"]))
+    built_for = basis.metadata.get("lambda_max")
+    if basis.cutoff != built_for:
+        raise BasisFormatError(f"cutoff {basis.cutoff!r} is not the "
+                               f"lambda_max {built_for!r} it was built for")
+    lams = basis.lambdas
+    if np.any(np.diff(lams) < 0):
+        raise BasisFormatError("lambda is not nondecreasing")
+    if np.any(lams > basis.cutoff):
+        raise BasisFormatError(f"lambda {float(lams.max())!r} "
+                               f"is above the cutoff {basis.cutoff!r}")
+    return basis
+
+
 def load_basis(path):
     """Reload a basis cache; rejects version mismatch, malformed files, any
     non-finite number, a k, n or k_range that is not a JSON integer, and a
-    cutoff or lambda order that contradicts the build."""
+    cutoff or lambda order that contradicts the build.  Every rejection is a
+    BasisFormatError (BasisVersionError for the schema) that names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_finite_number,
                             parse_constant=_finite_number)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
-        raise BasisFormatError(f"basis cache {path!r} is malformed: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise BasisFormatError("basis cache root must be an object")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise BasisVersionError(
-            f"basis cache schema {version!r} unsupported (want {SCHEMA_VERSION})")
-    try:
-        modes = tuple(_mode_from_record(rec) for rec in doc["modes"])
-        basis = EigenBasis(cutoff=float(doc["cutoff"]),
-                           k_range=_json_int(doc["k_range"], "k_range"),
-                           modes=modes, metadata=dict(doc["metadata"]))
+        return _basis_from_document(doc)
+    # ValueError covers JSONDecodeError and UnicodeDecodeError too
     except (KeyError, TypeError, ValueError) as exc:
         raise BasisFormatError(f"basis cache {path!r} is malformed: {exc}") from exc
-    built_for = basis.metadata.get("lambda_max")
-    if basis.cutoff != built_for:
-        raise BasisFormatError(f"basis cache {path!r}: cutoff {basis.cutoff!r} "
-                               f"is not the lambda_max {built_for!r} it was built for")
-    lams = basis.lambdas
-    if np.any(np.diff(lams) < 0):
-        raise BasisFormatError(f"basis cache {path!r}: lambda is not nondecreasing")
-    if np.any(lams > basis.cutoff):
-        raise BasisFormatError(f"basis cache {path!r}: lambda {float(lams.max())!r} "
-                               f"is above the cutoff {basis.cutoff!r}")
-    return basis
+    except BasisFormatError as exc:
+        raise type(exc)(f"basis cache {path!r}: {exc}") from exc

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DegenerateBranchError,
@@ -297,21 +296,95 @@ def bracket_roots(k, lam_max, density=16):
     return brackets
 
 
+def _negative(value):
+    """C's ``signbit``: True for negative numbers and for -0.0."""
+    return math.copysign(1.0, value) < 0
+
+
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """A root of ``f`` in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``Zeros/brentq.c``: the same steps in
+    the same floating-point operations, so the root and the points ``f`` is
+    called at are bit for bit those of ``scipy.optimize.brentq(f, xa, xb,
+    xtol, rtol, maxiter)``.  xpre is the previous iterate, xcur the current
+    one, and xblk the contrapoint on the other side of the sign change.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise InvalidBracketError(f"the function is NaN at {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _negative(fpre) == _negative(fcur):
+        raise InvalidBracketError(f"no sign change over ({xa!r}, {xb!r})")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and _negative(fpre) != _negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                try:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+                except ZeroDivisionError:  # C's step is inf or NaN: bisect
+                    stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NotAnEigenvalueError(
+        f"no root of ({xa!r}, {xb!r}) resolved after {maxiter} iterations; "
+        f"last iterate {xcur!r}")
+
+
 def refine_root(k, bracket, tol=1e-12):
-    """Refine a dispersion bracket to relative enclosure width <= tol."""
+    """Refine a dispersion bracket to relative enclosure width <= tol.
+
+    The root, and every lam ``dispersion`` is called at, are bit for bit
+    those of ``scipy.optimize.brentq`` with ``xtol = tol*lo`` and
+    ``rtol = max(tol, 4*eps)``.  A bracket without a sign change, or a NaN
+    dispersion value, raises InvalidBracketError; a refinement that does not
+    close within 100 iterations raises NotAnEigenvalueError.
+    """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 < lo < hi:
         raise InvalidBracketError(f"bad bracket ({lo!r}, {hi!r})")
+    if not tol > 0:
+        raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
     rtol = max(tol, 4 * np.finfo(float).eps)
-    try:
-        return brentq(lambda lam: dispersion(k, lam), lo, hi,
-                      xtol=tol * lo, rtol=rtol)
-    except InvalidArgumentError:
-        raise
-    except ValueError as exc:
-        # brentq's own endpoint evaluations are the sign check
-        raise InvalidBracketError(
-            f"no sign change of the dispersion over ({lo}, {hi}): {exc}") from exc
+    # the endpoint evaluations are the sign check; the lambda looks up
+    # dispersion at call time, so a rebound dispersion sees every call
+    return _brentq(lambda lam: dispersion(k, lam), lo, hi, tol * lo, rtol)
 
 
 # _stream_norm's read-only x2 Gauss rule: the nodes, then the top wall x2 = 1

@@ -366,6 +366,46 @@ def test_load_rejects_phase_that_does_not_fit_k(tmp_path, basis60):
         load_basis(path)
 
 
+FLIP_BRANCH = {"oscillatory": "evanescent", "evanescent": "oscillatory"}
+
+# faults that _mode_from_record itself rejects, each made in one k >= 1 record
+RECORD_FAULTS = {
+    "k not an integer": lambda rec: rec.update(k=float(rec["k"])),
+    "n not an integer": lambda rec: rec.update(n=float(rec["n"])),
+    "wrong branch": lambda rec: rec.update(branch=FLIP_BRANCH[rec["branch"]]),
+    "wrong phase": lambda rec: rec.update(phase=None),
+    "c of 3 entries": lambda rec: rec.update(c=rec["c"][:3]),
+}
+
+
+@pytest.mark.parametrize("fault", list(RECORD_FAULTS))
+def test_load_names_the_cache_and_the_record_at_fault(tmp_path, basis60,
+                                                       fault):
+    cache = tmp_path / "basis.json"
+    save_basis(basis60, cache)
+    doc = json.loads(cache.read_text())
+    index = max(i for i, rec in enumerate(doc["modes"]) if rec["k"] >= 1)
+    RECORD_FAULTS[fault](doc["modes"][index])
+    cache.write_text(json.dumps(doc))
+    path = str(cache)  # as the command line passes it
+    with pytest.raises(BasisFormatError) as exc:
+        load_basis(path)
+    assert repr(path) in str(exc.value)
+    assert f"modes[{index}]" in str(exc.value)
+
+
+@pytest.mark.parametrize("doc, error", [([], BasisFormatError),
+                                        ({"schema_version": 99},
+                                         BasisVersionError)])
+def test_load_names_the_cache_with_a_bad_root_or_schema(tmp_path, doc, error):
+    cache = tmp_path / "basis.json"
+    cache.write_text(json.dumps(doc))
+    path = str(cache)
+    with pytest.raises(error) as exc:
+        load_basis(path)
+    assert repr(path) in str(exc.value)
+
+
 def _edited_cache(tmp_path, basis, edit):
     path = tmp_path / "basis.json"
     save_basis(basis, path)

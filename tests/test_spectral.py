@@ -1,8 +1,10 @@
 import functools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stokesheat import (
     DegenerateBranchError,
@@ -229,6 +231,163 @@ def test_refine_root_calls_dispersion_as_often_as_brentq(monkeypatch):
     monkeypatch.setattr(spectral, "dispersion", counting)
     assert spectral.refine_root(1, (lo, hi)) == info.root
     assert len(calls) == info.function_calls
+
+
+def scipy_brentq(f, lo, hi, xtol, rtol, **kwargs):
+    """scipy's brentq, the reference the in-repo port must reproduce."""
+    from scipy.optimize import brentq
+
+    return brentq(f, lo, hi, xtol=xtol, rtol=rtol, full_output=True, **kwargs)
+
+
+def counted(f):
+    """``f`` and the list of points it was called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+@functools.lru_cache(maxsize=None)
+def brackets_3000(k):
+    return tuple(bracket_roots(k, 3000.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 54), pick=st.integers(0, 10 ** 6),
+       log_tol=st.floats(-14.0, -6.0))
+def test_refine_root_is_scipy_brentq_bit_for_bit(k, pick, log_tol):
+    lo, hi = brackets_3000(k)[pick % len(brackets_3000(k))]
+    tol = 10.0 ** log_tol
+    true_dispersion = spectral.dispersion
+    root, info = scipy_brentq(lambda lam: true_dispersion(k, lam), lo, hi,
+                              xtol=tol * lo,
+                              rtol=max(tol, 4 * np.finfo(float).eps))
+    calls = []
+
+    def counting(k_, lam):
+        calls.append(lam)
+        return true_dispersion(k_, lam)
+
+    with mock.patch.object(spectral, "dispersion", counting):
+        assert refine_root(k, (lo, hi), tol=tol) == root
+    assert len(calls) == info.function_calls
+
+
+def assert_port_is_scipy(f, lo, hi, xtol, rtol):
+    # a multiple root can exhaust the iterations; then both stop at the same
+    # last iterate, which scipy returns flagged as not converged
+    root, info = scipy_brentq(f, lo, hi, xtol, rtol, disp=False)
+    g, calls = counted(f)
+    if info.converged:
+        assert spectral._brentq(g, lo, hi, xtol, rtol) == root
+    else:
+        with pytest.raises(NotAnEigenvalueError):
+            spectral._brentq(g, lo, hi, xtol, rtol)
+        assert calls[-1] == root
+    assert len(calls) == info.function_calls
+
+
+TOLS = dict(log_xtol=st.floats(-15.0, -3.0),
+            rtol=st.floats(4 * np.finfo(float).eps, 1e-3))
+
+
+# at 1e-200 the extrapolation's denominator dblk*dpre*(fblk - fpre)
+# underflows to zero: C divides by it and rejects the inf or NaN step, where
+# Python raises ZeroDivisionError
+@settings(max_examples=200, deadline=None)
+@given(roots=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+       scale=st.floats(0.1, 10.0), tiny=st.booleans(), negate=st.booleans(),
+       lo=st.floats(-5.0, 5.0), width=st.floats(1e-3, 10.0), **TOLS)
+def test_brent_port_is_scipy_on_cubics(roots, scale, tiny, negate, lo, width,
+                                       log_xtol, rtol):
+    r1, r2, r3 = roots
+    a = (-scale if negate else scale) * (1e-200 if tiny else 1.0)
+
+    def cubic(x):
+        return a * (x - r1) * (x - r2) * (x - r3)
+
+    hi = lo + width
+    assume(min(cubic(lo), cubic(hi)) < 0 < max(cubic(lo), cubic(hi)))
+    assert_port_is_scipy(cubic, lo, hi, 10.0 ** log_xtol, rtol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_c=st.floats(-7.0, 7.0), below=st.floats(1e-6, 20.0),
+       above=st.floats(1e-6, 20.0), **TOLS)
+def test_brent_port_is_scipy_on_exp_minus_c(log_c, below, above, log_xtol,
+                                            rtol):
+    c = math.exp(log_c)
+
+    def f(x):
+        return math.exp(x) - c
+
+    lo, hi = log_c - below, log_c + above
+    assume(f(lo) < 0 < f(hi))
+    assert_port_is_scipy(f, lo, hi, 10.0 ** log_xtol, rtol)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_brent_port_returns_an_exact_zero_endpoint(end):
+    bracket = (1.0, 2.0)
+    zero_at = bracket[end]
+    f, calls = counted(lambda x: x - zero_at)
+    assert spectral._brentq(f, *bracket, 1e-12, 1e-12) == zero_at
+    assert calls == list(bracket)  # both ends, then no step
+    root, _ = scipy_brentq(lambda x: x - zero_at, *bracket, 1e-12, 1e-12)
+    assert root == zero_at
+
+
+@pytest.mark.parametrize("nan_after", [0, 1, 4])
+def test_refine_root_turns_a_nan_dispersion_into_a_bracket_error(monkeypatch,
+                                                                 nan_after):
+    lo, hi = bracket_roots(1, 50.0)[0]
+    true_dispersion = spectral.dispersion
+    calls = []
+
+    def nan_later(k, lam):
+        calls.append(lam)
+        return math.nan if len(calls) > nan_after else true_dispersion(k, lam)
+
+    monkeypatch.setattr(spectral, "dispersion", nan_later)
+    with pytest.raises(InvalidBracketError, match="NaN"):
+        refine_root(1, (lo, hi))
+    assert len(calls) == nan_after + 1  # stops at the first NaN
+
+
+def test_refine_root_out_of_iterations_is_a_package_error(monkeypatch):
+    # a step function gives no usable secant, so every step is a bisection,
+    # and halving (1, 1e300) down to a 1e-12 relative width takes ~1000
+    def step(lam):
+        return -1.0 if lam < 2.0 else 1.0
+
+    monkeypatch.setattr(spectral, "dispersion", lambda k, lam: step(lam))
+    with pytest.raises(NotAnEigenvalueError, match="100 iterations"):
+        refine_root(1, (1.0, 1e300))
+    _, info = scipy_brentq(step, 1.0, 1e300, 1e-12, 1e-12, disp=False)
+    assert not info.converged and info.iterations == 100
+
+
+def test_cli_exits_1_when_root_refinement_runs_out_of_iterations(
+        monkeypatch, tmp_path, capsys):
+    from stokesheat import cli
+
+    monkeypatch.setattr(spectral, "_brentq",
+                        functools.partial(spectral._brentq, maxiter=2))
+    code = cli.main(["eigens", "--lambda-max", "60",
+                     "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "error: no root of" in capsys.readouterr().err
+
+
+def test_refine_root_rejects_a_nonpositive_tol():
+    lo, hi = bracket_roots(1, 50.0)[0]
+    for tol in (0.0, -1e-12, math.nan):
+        with pytest.raises(InvalidArgumentError, match="tol"):
+            refine_root(1, (lo, hi), tol=tol)
 
 
 def test_refine_root_passes_invalid_arguments_through():
