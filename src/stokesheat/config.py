@@ -238,6 +238,12 @@ def validate_config(cfg):
         raise ConfigError("sweeps.lambda_list entries must be positive")
     if any(not 0 < t for t in w.t_list):
         raise ConfigError("sweeps.t_list entries must be positive")
+    # a repeated entry is computed twice and counted twice by the sweep fits
+    for key, values in (("sweeps.lambda_list", w.lambda_list),
+                        ("sweeps.t_list", w.t_list)):
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:
+            raise ConfigError(f"{key} repeats the entry {repeated!r}")
     if cfg.io.format not in FORMATS:
         raise ConfigError("io.format must be 'csv' or 'structured'")
     if cfg.threads < 1:

@@ -10,8 +10,9 @@ class InvalidArgumentError(StokesHeatError, ValueError):
 
 
 class DegenerateBranchError(StokesHeatError):
-    """lambda falls inside the guard interval around k**2 where the
-    fundamental system of the stream ODE degenerates."""
+    """lambda is not above k**2 and the guard interval around it, where the
+    fundamental system of the stream ODE degenerates; every sector-k
+    eigenvalue lies above."""
 
 
 class InvalidBracketError(StokesHeatError):

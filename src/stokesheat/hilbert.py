@@ -32,12 +32,13 @@ from .quadrature import (
 )
 from .spectral import (
     COSINE,
+    OSCILLATORY,
     SCHEMA_VERSION,
     SINE,
     EigenBasis,
     EigenMode,
     TWO_PI,
-    branch_of,
+    require_oscillatory,
 )
 
 
@@ -288,7 +289,7 @@ def _mode_record(mode):
     if mode.k == 0:
         rec["amplitude"] = mode.amplitude
     else:
-        rec.update(branch=branch_of(mode.k, mode.lam), c=list(mode.c),
+        rec.update(branch=OSCILLATORY, c=list(mode.c),
                    norm_factor=mode.norm_factor)
     return rec
 
@@ -301,8 +302,10 @@ def _json_int(value, name):
 
 
 def _mode_from_record(rec):
-    """The mode of a cache record; a k >= 1 record's ``branch`` must be the
-    one its lambda lies on, and its phase cosine or sine (None at k = 0)."""
+    """The mode of a cache record; a k >= 1 record's ``branch`` must be
+    ``oscillatory`` and its lambda above k**2 and the guard interval, where
+    every sector eigenvalue lies, and its phase cosine or sine (None at
+    k = 0)."""
     try:
         k = _json_int(rec["k"], "k")
         lam = float(rec["lambda"])
@@ -312,10 +315,10 @@ def _mode_from_record(rec):
             c = tuple(float(v) for v in rec["c"])
             if len(c) != 4:
                 raise BasisFormatError("c must carry 4 coefficients")
-            if rec["branch"] != branch_of(k, lam):
+            if rec["branch"] != OSCILLATORY:
                 raise BasisFormatError(
-                    f"branch {rec['branch']!r} disagrees with lambda {lam!r} "
-                    f"at k={k}")
+                    f"branch {rec['branch']!r} is not {OSCILLATORY!r} at k={k}")
+            require_oscillatory(k, lam)
             norm_factor, amplitude = float(rec["norm_factor"]), 0.0
         phase = rec["phase"]
         if phase not in ((None,) if k == 0 else (COSINE, SINE)):

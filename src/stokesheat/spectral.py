@@ -23,12 +23,19 @@ relation; its roots are the sector eigenvalues.  This reduction was
 validated against the independent finite-difference oracle in
 ``stokesheat.oracle`` (see tests), which is the trust anchor for all of it.
 
+The operator is self-adjoint with the form int_Omega |grad u|^2 +
+int_I |d eta/dx1|^2, so a unit-norm sector-k mode has
+lam = k^2 + int_Omega |du/dx2|^2 > k^2.  Every k >= 1 evaluation therefore
+lives on the oscillatory side lam > k^2 + guard (beta = sqrt(lam - k^2));
+a lam at or below it raises DegenerateBranchError.
+
 The k = 0 sector decouples: the vertical velocity and the boundary unknown
 vanish and the horizontal velocity solves a Dirichlet Laplacian in x2, so
 its modes are sin(n pi x2) with eigenvalue (n pi)^2.
 
 The fundamental system is stored in the exponentially scaled form
-{exp(-k x2), exp(k (x2-1)), trig/exp pair} rather than {cosh, sinh, ...}:
+{exp(-k x2), exp(k (x2-1)), cos(beta x2), sin(beta x2)} rather than
+{cosh, sinh, ...}:
 for k beyond ~18 the cosh/sinh representation loses all precision to
 cancellation when the profile is evaluated near x2 = 1.
 """
@@ -55,7 +62,6 @@ from .quadrature import COS, SIN, GAUSS_NODES_X2, gauss_legendre
 TWO_PI = 2.0 * np.pi
 
 OSCILLATORY = "oscillatory"
-EVANESCENT = "evanescent"
 COSINE = "cosine"
 SINE = "sine"
 
@@ -65,8 +71,8 @@ SCHEMA_VERSION = 1
 RESIDUAL_GATE = 1e-6
 MULTIPLICITY_GATE = 1e-8
 
-# sqrt(lambda) scan floor; the spectrum of every sector lies above k^2 >= 1
-# (checked against the oracle), so nothing hides below this
+# origin of the sqrt(lambda) scan grid; only its points above k^2 + guard are
+# evaluated, and the origin is kept so that every bracket stays the same
 SCAN_SQRT_FLOOR = 1e-2
 
 _PHASE_RANK = {COSINE: 0, SINE: 1, None: 0}
@@ -82,12 +88,10 @@ class EigenMode:
     """One eigenmode, flat: the columns of :class:`ModeTable`.
 
     For k >= 1, ``c`` holds the four stream coefficients in the scaled
-    fundamental system {exp(-k x2), exp(k (x2-1)), cos(beta x2), sin(beta x2)}
-    of the oscillatory branch (lam > k^2, beta = sqrt(lam - k^2)) or
-    {exp(-k x2), exp(k (x2-1)), exp(-mu x2), exp(mu (x2-1))} of the
-    evanescent branch (mu = sqrt(k^2 - lam)), and ``norm_factor`` scales them
-    to unit norm.  A k = 0 mode is u = amplitude*(sin(n pi x2), 0).  A field
-    that does not apply is zero.
+    fundamental system {exp(-k x2), exp(k (x2-1)), cos(beta x2), sin(beta x2)},
+    beta = sqrt(lam - k^2) (every sector eigenvalue lies above k^2), and
+    ``norm_factor`` scales them to unit norm.  A k = 0 mode is
+    u = amplitude*(sin(n pi x2), 0).  A field that does not apply is zero.
     """
 
     k: int
@@ -139,41 +143,36 @@ class EigenBasis:
         return np.nonzero(self.lambdas <= lam_cap)[0]
 
 
-def branch_of(k, lam):
-    if abs(lam - k * k) <= degeneracy_tolerance(k):
+def require_oscillatory(k, lam):
+    """Raise DegenerateBranchError unless lam > k**2 + guard, the only side
+    of k**2 a sector-k eigenvalue lies on."""
+    if not lam > k * k + degeneracy_tolerance(k):
         raise DegenerateBranchError(
-            f"lambda={lam!r} is within the degeneracy guard of k^2={k * k}")
-    return OSCILLATORY if lam > k * k else EVANESCENT
+            f"lambda={lam!r} is not above k^2={k * k} and its degeneracy guard")
 
 
 def _boundary_matrix(k, lam):
     """Row-normalized 4x4 boundary condition matrix of the stream ODE.
 
     The fundamental system's values at x2 = 0 and 1 are written out from
-    one numpy exp of -k (and of -mu on the evanescent branch; math.exp may
-    round differently), one cos and one sin of the four trig arguments, and
-    powers on Python floats (C pow).  Each entry repeats the arithmetic of
-    the per-point reference evaluator, so the matrix is bit for bit
-    ``ref_boundary_matrix`` of ``tests/mode_reference.py``.
+    one numpy exp of -k (math.exp may round differently), one cos and one
+    sin of the four trig arguments, and powers on Python floats (C pow).
+    Each entry repeats the arithmetic of the per-point reference evaluator,
+    so the matrix is bit for bit ``ref_boundary_matrix`` of
+    ``tests/mode_reference.py``.  lam must lie above k**2.
     """
     kk = float(k)
+    b = math.sqrt(lam - kk * kk)
+    (ek,) = np.exp([-kk]).tolist()
+    args = np.array([b * 0.0 + 1 * 0.5 * np.pi, b * 1.0 + 1 * 0.5 * np.pi,
+                     b * 1.0 + 0 * 0.5 * np.pi, b * 1.0 + 3 * 0.5 * np.pi])
+    c01, c11, c10, c13 = np.cos(args).tolist()
+    s01, s11, s10, s13 = np.sin(args).tolist()
     # v00, d01, d11, v10, d13: solutions 3 and 4 at (x2, derivative order)
     # (0, 0), (0, 1), (1, 1), (1, 0) and (1, 3)
-    if lam > kk * kk:
-        b = math.sqrt(lam - kk * kk)
-        (ek,) = np.exp([-kk]).tolist()
-        args = np.array([b * 0.0 + 1 * 0.5 * np.pi, b * 1.0 + 1 * 0.5 * np.pi,
-                         b * 1.0 + 0 * 0.5 * np.pi, b * 1.0 + 3 * 0.5 * np.pi])
-        c01, c11, c10, c13 = np.cos(args).tolist()
-        s01, s11, s10, s13 = np.sin(args).tolist()
-        v00, d01, d11, v10, d13 = ((1.0, 0.0), (b * c01, b * s01),
-                                   (b * c11, b * s11), (c10, s10),
-                                   (b ** 3 * c13, b ** 3 * s13))
-    else:
-        mu = math.sqrt(kk * kk - lam)
-        ek, em = np.exp([-kk, -mu]).tolist()
-        v00, d01, d11, v10, d13 = ((1.0, em), (-mu, mu * em), (-mu * em, mu),
-                                   (em, 1.0), ((-mu) ** 3 * em, mu ** 3))
+    v00, d01, d11, v10, d13 = ((1.0, 0.0), (b * c01, b * s01),
+                               (b * c11, b * s11), (c10, s10),
+                               (b ** 3 * c13, b ** 3 * s13))
     coef = k * k * (k * k - lam)
     rows = np.array([
         (1.0, ek) + v00,
@@ -198,7 +197,7 @@ def dispersion(k, lam):
         raise InvalidArgumentError(f"wavenumber k must be an integer >= 1, got {k!r}")
     if not lam > 0:
         raise InvalidArgumentError(f"lambda must be positive, got {lam!r}")
-    branch_of(k, lam)  # raises inside the guard interval
+    require_oscillatory(k, lam)
     return float(np.linalg.det(_boundary_matrix(k, lam)))
 
 
@@ -211,40 +210,36 @@ def _powers(values, deriv):
     return np.array([v ** deriv for v in values.ravel().tolist()]).reshape(values.shape)
 
 
-def _fundamental_rows(k, s, oscillatory, x, deriv):
-    """The fundamental system at many (k, lam) of one branch, shape
-    (len(s), 4, len(x)), bit for bit the per-point reference ``_fundamental``
-    of ``tests/mode_reference.py`` (which also holds the reference
-    ``ref_boundary_matrix`` and ``ref_stream_norm``): row i has branch root
-    ``s[i]`` = sqrt(|lam - k**2|) and integer wavenumber ``k[i]``, or
+def _fundamental_rows(k, beta, x, deriv):
+    """The fundamental system at many (k, lam), shape (len(beta), 4, len(x)),
+    bit for bit the per-point reference ``_fundamental`` of
+    ``tests/mode_reference.py`` (which also holds the reference
+    ``ref_boundary_matrix`` and ``ref_stream_norm``): row i has
+    ``beta[i]`` = sqrt(lam - k**2) and integer wavenumber ``k[i]``, or
     ``k[0]`` if ``k`` has one entry."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    kk, s_col = np.asarray(k, dtype=float)[:, None], s[:, None]
-    rows = np.empty((len(s), 4, len(x)))
+    kk, b_col = np.asarray(k, dtype=float)[:, None], beta[:, None]
+    rows = np.empty((len(beta), 4, len(x)))
     rows[:, 0] = _powers(-kk, deriv) * np.exp(-kk * x)
     rows[:, 1] = _powers(kk, deriv) * np.exp(kk * (x - 1.0))
-    s_pow = _powers(s_col, deriv)
-    if oscillatory:
-        rows[:, 2] = s_pow * np.cos(s_col * x + deriv * 0.5 * np.pi)
-        rows[:, 3] = s_pow * np.sin(s_col * x + deriv * 0.5 * np.pi)
-    else:
-        rows[:, 2] = _powers(-s_col, deriv) * np.exp(-s_col * x)
-        rows[:, 3] = s_pow * np.exp(s_col * (x - 1.0))
+    b_pow = _powers(b_col, deriv)
+    rows[:, 2] = b_pow * np.cos(b_col * x + deriv * 0.5 * np.pi)
+    rows[:, 3] = b_pow * np.sin(b_col * x + deriv * 0.5 * np.pi)
     return rows
 
 
 def _boundary_matrices(k, lams):
     """Stack of ``_boundary_matrix(k, lam)`` over an array of lams, (N,4,4).
 
-    Every lam must lie on the same side of k**2 (one branch); the entries
-    repeat the scalar builder's arithmetic elementwise, so the scan sees the
-    same determinants bit for bit.
+    Every lam must lie above k**2, where the sector's spectrum lies; the
+    entries repeat the scalar builder's arithmetic elementwise, so the scan
+    sees the same determinants bit for bit.
     """
     lams = np.asarray(lams, dtype=float)
-    s = np.sqrt(np.abs(lams - float(k) * float(k)))
+    beta = np.sqrt(lams - float(k) * float(k))
 
     def fund(x, deriv):
-        return _fundamental_rows([k], s, lams[0] > k * k, x, deriv)[:, :, 0]
+        return _fundamental_rows([k], beta, x, deriv)[:, :, 0]
 
     mats = np.empty((len(lams), 4, 4))
     mats[:, 0] = fund(0.0, 0)
@@ -262,9 +257,10 @@ def bracket_roots(k, lam_max, density=16):
     """Sign-change brackets of the dispersion relation in (0, lam_max].
 
     The scan grid is uniform in sqrt(lambda) (sector eigenvalue spacing is
-    asymptotically uniform there) with ``density`` samples per unit.  The
-    degenerate point lam = k**2 is excluded by a guard interval and the two
-    branches are scanned separately.
+    asymptotically uniform there) with ``density`` samples per unit from
+    ``SCAN_SQRT_FLOOR``.  Only its points above k**2 and the guard interval
+    around it are evaluated: every sector-k eigenvalue exceeds k**2 (module
+    docstring), so no bracket lies below.
     """
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise InvalidArgumentError(f"wavenumber k must be an integer >= 1, got {k!r}")
@@ -279,21 +275,16 @@ def bracket_roots(k, lam_max, density=16):
     grid = np.arange(SCAN_SQRT_FLOOR, s_hi, step)
     if len(grid) == 0 or grid[-1] < s_hi:
         grid = np.append(grid, s_hi)
-    guard = degeneracy_tolerance(k)
-    lo_edge, hi_edge = k * k - guard, k * k + guard
-    brackets = []
-    for lams in (grid[grid * grid < lo_edge] ** 2,
-                 grid[grid * grid > hi_edge] ** 2):
-        if len(lams) < 2:
-            continue
-        vals = _dispersion_grid(k, lams)
-        # nudge exact zeros off the grid so sign logic stays two-valued
-        for i in np.nonzero(vals == 0.0)[0]:
-            lams[i] *= 1.0 + 1e-9
-            vals[i] = np.linalg.det(_boundary_matrix(k, lams[i]))
-        flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        brackets.extend((lams[i], lams[i + 1]) for i in flips)
-    return brackets
+    lams = grid[grid * grid > k * k + degeneracy_tolerance(k)] ** 2
+    if len(lams) < 2:
+        return []
+    vals = _dispersion_grid(k, lams)
+    # nudge exact zeros off the grid so sign logic stays two-valued
+    for i in np.nonzero(vals == 0.0)[0]:
+        lams[i] *= 1.0 + 1e-9
+        vals[i] = np.linalg.det(_boundary_matrix(k, lams[i]))
+    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    return [(lams[i], lams[i + 1]) for i in flips]
 
 
 def _negative(value):
@@ -398,10 +389,10 @@ def _stream_norm(k, lam, c):
     and phi(1).
 
     phi and phi' at the x2 Gauss nodes and phi at x2 = 1 come from one set
-    of exponentials (and of cos and sin on the oscillatory branch).  Each
-    value repeats the arithmetic of the per-point reference evaluator, so
-    both results are bit for bit ``ref_stream_norm`` and phi(1) of
-    ``tests/mode_reference.py``.
+    of exponentials, cosines and sines.  Each value repeats the arithmetic
+    of the per-point reference evaluator, so both results are bit for bit
+    ``ref_stream_norm`` and phi(1) of ``tests/mode_reference.py``.  lam must
+    lie above k**2.
     """
     x, w = _NORM_X, _NORM_W
     kk = float(k)
@@ -409,16 +400,10 @@ def _stream_norm(k, lam, c):
     val[0] = np.exp(-kk * x)
     val[1] = np.exp(kk * (x - 1.0))
     der[0], der[1] = -kk * val[0], kk * val[1]
-    if lam > kk * kk:
-        b = math.sqrt(lam - kk * kk)
-        args = b * x + np.array([[0 * 0.5 * np.pi], [1 * 0.5 * np.pi]])
-        (val[2], c1), (val[3], s1) = np.cos(args), np.sin(args)
-        der[2], der[3] = b * c1, b * s1
-    else:
-        mu = math.sqrt(kk * kk - lam)
-        val[2] = np.exp(-mu * x)
-        val[3] = np.exp(mu * (x - 1.0))
-        der[2], der[3] = -mu * val[2], mu * val[3]
+    b = math.sqrt(lam - kk * kk)
+    args = b * x + np.array([[0 * 0.5 * np.pi], [1 * 0.5 * np.pi]])
+    (val[2], c1), (val[3], s1) = np.cos(args), np.sin(args)
+    der[2], der[3] = b * c1, b * s1
     phi, dphi = c @ val[:, :-1], c @ der[:, :-1]
     # a contiguous copy: a strided dot may add the four terms in another order
     phi1 = float(c @ val[:, -1].copy())
@@ -436,7 +421,7 @@ def build_mode(k, lam, phase, n=0):
         raise InvalidArgumentError(f"phase must be 'cosine' or 'sine', got {phase!r}")
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise InvalidArgumentError(f"wavenumber k must be an integer >= 1, got {k!r}")
-    branch_of(k, lam)  # raises inside the guard interval
+    require_oscillatory(k, lam)
     mat = _boundary_matrix(k, lam)
     _, sing, vt = np.linalg.svd(mat)
     if sing[3] > RESIDUAL_GATE * sing[0]:
@@ -471,9 +456,9 @@ def zero_mode(n):
 class ModeTable:
     """The modes of a basis as read-only arrays, evaluated all at once.
 
-    Row j holds ``modes[j]``'s k, n, lam, phase (``sine``), branch
-    (``oscillatory``: lam > k**2), stream ``c`` and ``norm_factor``, k = 0
-    ``amplitude`` and ``eta_trace`` (zero where a field does not apply).
+    Row j holds ``modes[j]``'s k, n, lam, phase (``sine``), stream ``c``
+    and ``norm_factor``, k = 0 ``amplitude`` and ``eta_trace`` (zero where a
+    field does not apply).
     This is the only evaluator of mode fields.
     """
 
@@ -487,7 +472,6 @@ class ModeTable:
         self.n = col(lambda m: m.n, int)
         self.lam = col(lambda m: m.lam)
         self.sine = col(lambda m: m.phase == SINE, bool)
-        self.oscillatory = col(lambda m: m.lam > m.k * m.k, bool)
         self.c = col(lambda m: m.c).reshape(-1, 4)
         self.norm_factor = col(lambda m: m.norm_factor)
         self.amplitude = col(lambda m: m.amplitude)
@@ -502,12 +486,9 @@ class ModeTable:
     def _stream(self, x2, deriv):
         """d^deriv phi / dx2^deriv of the k >= 1 rows, normalized."""
         st = self.k > 0
-        k, lam, osc = self.k[st], self.lam[st], self.oscillatory[st]
-        s = np.sqrt(np.abs(lam - k.astype(float) * k))
-        rows = np.empty((len(k), 4, len(x2)))
-        for oscillatory in (True, False):
-            on = osc == oscillatory
-            rows[on] = _fundamental_rows(k[on], s[on], oscillatory, x2, deriv)
+        k = self.k[st]
+        rows = _fundamental_rows(k, np.sqrt(self.lam[st] - k.astype(float) * k),
+                                 x2, deriv)
         # the stacked matmul reproduces a single mode's tensordot bit for bit,
         # einsum does not
         vals = np.matmul(self.c[st][:, None, :], rows)[:, 0, :]
@@ -568,12 +549,13 @@ def build_settings(lam_max, k_max, density, tol):
 def assemble_basis(lam_max, k_max=None, density=16, tol=1e-12, threads=1):
     """Gather every eigenmode with lambda <= lam_max into an ordered basis.
 
-    ``k_max`` defaults to the smallest wavenumber whose sector is provably
-    empty below the cutoff; whatever value is used, the k_max sector is
-    scanned and must contain no eigenvalue <= lam_max (completeness is
-    checked, not assumed).  Sector scans may run on ``threads`` workers; the
-    merge is a deterministic sort, so the result is independent of the
-    parallelism.
+    ``k_max`` defaults to ceil(sqrt(lam_max)), the smallest wavenumber whose
+    sector is empty below the cutoff by the bound lam > k**2 (so its scan
+    evaluates nothing).  A smaller configured k_max is still scanned, and
+    an eigenvalue <= lam_max there raises IncompleteBasisError
+    (completeness is checked, not assumed).  Sector scans may run on
+    ``threads`` workers; the merge is a deterministic sort, so the result is
+    independent of the parallelism.
     """
     if not lam_max > 0:
         raise InvalidArgumentError("lam_max must be positive")

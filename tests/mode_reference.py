@@ -14,7 +14,9 @@ system that ``spectral`` used before its boundary matrix and mode norm were
 written out.  :func:`ref_boundary_matrix` and :func:`ref_stream_norm` are
 those two builders on top of it, which ``spectral._boundary_matrix`` and
 ``spectral._stream_norm`` must match bit for bit, and :func:`ref_build_mode`
-assembles a mode from them as ``spectral.build_mode`` does.
+assembles a mode from them as ``spectral.build_mode`` does.  It keeps the
+evanescent branch lam < k^2 that ``spectral`` no longer evaluates, so that
+the tests can show no sector eigenvalue lies there.
 """
 
 import math

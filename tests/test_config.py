@@ -74,6 +74,26 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not os.path.exists(out_dir)
 
 
+@pytest.mark.parametrize("key, flag, values", [
+    ("lambda_list", "--lambda-list", [25.0, 50.0, 25.0]),
+    ("t_list", "--t-list", [0.2, 0.2, 0.4, 0.8]),
+])
+def test_repeated_sweep_entry_is_a_config_error(tmp_path, capsys, key, flag,
+                                                 values):
+    # a repeated entry would be computed twice and counted twice by the fits
+    message = f"sweeps.{key} repeats the entry {values[0]!r}"
+    path = write_config(tmp_path / "cfg.json", {"sweeps": {key: values}})
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    sweeps = {"--lambda-list": "30", "--t-list": "0.5",
+              flag: ",".join(map(repr, values))}
+    out_dir = str(tmp_path / "out")
+    argv = ["observe", "--lambda-max", "40", "--out-dir", out_dir]
+    assert cli.main(argv + [a for pair in sweeps.items() for a in pair]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
 def test_file_structure_errors(tmp_path):
     for doc, text in (({"basis.lambda_max": 80}, "unknown key basis.lambda_max"),
                       ({"basis": [80]}, "basis must be an object")):
@@ -114,8 +134,10 @@ def configs(draw):
                      "z0_modes": draw(st.integers(0, 100)),
                      "seed": draw(st.integers(0, 2 ** 31)),
                      "final_tol": draw(st.floats(1e-12, 1.0))},
-        "sweeps": {"lambda_list": draw(st.lists(positive, min_size=1, max_size=6)),
-                   "t_list": draw(st.lists(positive, min_size=1, max_size=6))},
+        "sweeps": {"lambda_list": draw(st.lists(positive, min_size=1, max_size=6,
+                                                unique=True)),
+                   "t_list": draw(st.lists(positive, min_size=1, max_size=6,
+                                           unique=True))},
         "io": {"cache_path": draw(st.none() | names), "out_dir": draw(names),
                "format": draw(st.sampled_from(FORMATS))},
         "threads": draw(st.integers(1, 8)),

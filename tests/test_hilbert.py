@@ -348,6 +348,28 @@ def test_load_rejects_branch_that_disagrees_with_lambda(tmp_path, basis60):
         load_basis(path)
 
 
+def test_evanescent_record_is_rejected_and_rebuilt(tmp_path, basis60, capsys):
+    # no sector-k eigenvalue lies below k^2, so a record there is not one of
+    # this basis's modes even when its branch field agrees with its lambda
+    from stokesheat import cli
+
+    cache = tmp_path / "basis.json"
+    save_basis(basis60, cache)
+    doc = json.loads(cache.read_text())
+    assert doc["modes"][0]["k"] == 1
+    doc["modes"][0].update({"lambda": 0.5, "branch": "evanescent"})
+    cache.write_text(json.dumps(doc))
+    with pytest.raises(BasisFormatError, match="modes\\[0\\]"):
+        load_basis(cache)
+    capsys.readouterr()
+    assert cli.main(["control", "--lambda-max", "60", "--lambda-cap", "50",
+                     "--z0-modes", "10", "--cache", str(cache),
+                     "--out-dir", str(tmp_path / "control")]) == 0
+    err = capsys.readouterr().err
+    assert "evanescent" in err and "rebuilding" in err
+    assert load_basis(cache).basis_id == basis60.basis_id
+
+
 def test_load_rejects_phase_that_does_not_fit_k(tmp_path, basis60):
     path = tmp_path / "basis.json"
     save_basis(basis60, path)

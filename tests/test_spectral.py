@@ -67,6 +67,57 @@ def test_dispersion_preconditions():
         dispersion(2, 4.0 + 1e-9)
 
 
+@pytest.mark.parametrize("k, lam", [(1, 0.5), (2, 3.9), (8, 1.0),
+                                    (64, 4095.0), (3, 9.0 - 1e-6)])
+def test_below_k_squared_is_a_degenerate_branch(k, lam):
+    # no sector-k eigenvalue lies below k^2, so nothing is evaluated there
+    with pytest.raises(DegenerateBranchError):
+        dispersion(k, lam)
+    for phase in ("cosine", "sine"):
+        with pytest.raises(DegenerateBranchError):
+            build_mode(k, lam, phase)
+
+
+def test_oracle_spectra_lie_above_k_squared():
+    # the bound lam > k^2 that confines every k >= 1 evaluation to the
+    # oscillatory side, from the oracle, which shares no code with the
+    # reduction
+    for k in range(1, 9):
+        assert oracle_eigs(k, 200, 4).values.min() > k * k, k
+
+
+def test_lambda_minus_k_squared_is_the_x2_dirichlet_integral():
+    # lam = int |grad u|^2 + int |d eta/dx1|^2 for a unit-norm mode, and the
+    # x1 derivatives contribute k^2 * (norm 1), so lam - k^2 is the x2 part:
+    # pi * int (|u1'|^2 + |u2'|^2) dx2, pi from the x1 integral of cos^2
+    from stokesheat.quadrature import gauss_legendre
+
+    basis = assemble_basis(400.0)
+    tab = basis.table
+    x2, w2 = gauss_legendre(64, 0.0, 1.0)
+    dirichlet = np.pi * sum((tab.profiles(x2, comp, deriv=1) ** 2) @ w2
+                            for comp in ("u1", "u2"))
+    sector = tab.k > 0
+    gap = tab.lam[sector] - tab.k[sector].astype(float) ** 2
+    assert sector.sum() > 0
+    assert np.all(np.abs(dirichlet[sector] - gap) <= 1e-10 * tab.lam[sector])
+
+
+def test_no_dispersion_root_below_k_squared():
+    # the scan evaluates only lam > k^2 + guard; the reference boundary
+    # matrix, which keeps the evanescent branch, shows why nothing is lost:
+    # its determinant keeps one sign on [1e-4, k^2 - 2 guard] over the
+    # envelope k <= 64, lam <= 1e4, at four times the scan density
+    for k in range(1, 65):
+        guard = spectral.degeneracy_tolerance(k)
+        top = min(k * k - 2 * guard, 1e4)
+        grid = np.arange(math.sqrt(1e-4), math.sqrt(top), 1.0 / 64)
+        lams = np.append(grid * grid, top)
+        dets = np.array([np.linalg.det(ref_boundary_matrix(k, lam))
+                         for lam in lams])
+        assert np.all(np.sign(dets) == np.sign(dets[0])) and dets[0] != 0, k
+
+
 def test_dispersion_sign_changes_bracket_oracle_eigs():
     # sign changes over (0.1, 400) isolate exactly the oracle's eigenvalues
     oracle = oracle_eigs(1, 200, 8)
@@ -90,9 +141,8 @@ def test_dispersion_scaling_envelope():
     # row normalization keeps the determinant finite and meaningful across
     # the whole advertised envelope k <= 64, lambda <= 1e6
     for k in (1, 8, 32, 64):
-        for lam in (0.5, 0.9 * k * k, 1.1 * k * k + 1.0, 1e4, 1e6):
-            if abs(lam - k * k) <= 1e-8 * max(1, k * k):
-                continue
+        guard = spectral.degeneracy_tolerance(k)
+        for lam in (k * k + 2 * guard, 1.1 * k * k + 1.0, 1e4, 1e6):
             val = dispersion(k, lam)
             assert np.isfinite(val)
             assert abs(val) < 1e3
@@ -112,16 +162,13 @@ def test_bracket_density_stability(k):
 
 @st.composite
 def branch_points(draw):
-    """(k, lams): a wavenumber and points on one side of k**2, some of them
-    just outside the degeneracy guard."""
+    """(k, lams): a wavenumber and points above k**2, the side every
+    sector-k eigenvalue lies on, some of them just outside the degeneracy
+    guard."""
     k = draw(st.integers(1, 64))
     guard = spectral.degeneracy_tolerance(k)
-    side = draw(st.sampled_from((-1.0, 1.0)))
-    near = st.floats(1.01, 10.0).map(lambda t: k * k + side * guard * t)
-    if side < 0:
-        far = st.floats(1e-4, k * k - 2 * guard)
-    else:
-        far = st.floats(k * k + 2 * guard, 1e6)
+    near = st.floats(1.01, 10.0).map(lambda t: k * k + guard * t)
+    far = st.floats(k * k + 2 * guard, 1e6)
     lams = draw(st.lists(st.one_of(near, far), min_size=1, max_size=8))
     return k, np.array(lams)
 
@@ -151,7 +198,6 @@ def test_boundary_matrix_is_bit_equal_to_reference(point):
 @settings(max_examples=200, deadline=None)
 @given(branch_points(), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
 def test_stream_norm_is_bit_equal_to_reference(point, c):
-    # both branches: build_mode only ever sees oscillatory roots
     k, lams = point
     c = np.array(c)
     for lam in lams:
