@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ObservabilityDefectError
 from .fitting import linear_fit
-from .hilbert import (StateVector, check_gramian, obs_gramian,
-                      sampled_velocity_factor, semigroup, stacked_factor_r)
+from .hilbert import (StateVector, _one_blas_thread, check_gramian,
+                      obs_gramian, sampled_velocity_factor, semigroup,
+                      stacked_factor_r)
 from .quadrature import gauss_legendre
 
 
@@ -370,7 +371,9 @@ def obs_constant(basis, lam_cap, t_horizon, region, defect_threshold=1e-13):
     attained at ``direction`` = V S^-1 y_1 (y_1 the top right singular
     vector), unit-normed with its largest-magnitude entry positive.  This
     resolves constants across twice the dynamic range a dense eigensolve of
-    the assembled O could, to about 2 eps kappa(R) relative.
+    the assembled O could, to about 2 eps kappa(R) relative.  The QRs and
+    SVDs run on numpy's BLAS at one thread (:func:`hilbert._one_blas_thread`),
+    so the result does not depend on the host's BLAS thread count.
 
     Raises ObservabilityDefectError, carrying the least visible coefficient
     direction, when O is singular below ``defect_threshold`` (relative
@@ -382,25 +385,26 @@ def obs_constant(basis, lam_cap, t_horizon, region, defect_threshold=1e-13):
     if len(idx) == 0:
         raise InvalidArgumentError(f"no modes at or below lam_cap {lam_cap!r}")
     lams = basis.lambdas[idx]
-    r_g = sampled_velocity_factor(basis, idx, region)
-    t, wt = _window_time_nodes(t_horizon, float(lams.max()))
-    r_fac = stacked_factor_r(r_g, np.sqrt(wt), np.exp(-np.outer(t, lams)))
-    _, svals, vt = np.linalg.svd(r_fac)
-    direction = np.zeros(len(basis.lambdas))
-    if svals[-1] <= defect_threshold * svals[0]:
-        direction[idx] = vt[-1]
-        raise ObservabilityDefectError(
-            f"observation Gramian numerically singular (relative smallest "
-            f"singular value {svals[-1] / svals[0]:.3e})", direction=direction)
-    y = np.exp(-lams * t_horizon)[:, None] * vt.T / svals
-    _, s_y, vt_y = np.linalg.svd(y)
-    best = vt.T @ (vt_y[0] / svals)
-    best /= np.linalg.norm(best)
-    if best[np.argmax(np.abs(best))] < 0:
-        best = -best
-    direction[idx] = best
-    return ObservabilityConstant(value=float(s_y[0] ** 2), indices=idx,
-                                 direction=direction)
+    with _one_blas_thread():
+        r_g = sampled_velocity_factor(basis, idx, region)
+        t, wt = _window_time_nodes(t_horizon, float(lams.max()))
+        r_fac = stacked_factor_r(r_g, np.sqrt(wt), np.exp(-np.outer(t, lams)))
+        _, svals, vt = np.linalg.svd(r_fac)
+        direction = np.zeros(len(basis.lambdas))
+        if svals[-1] <= defect_threshold * svals[0]:
+            direction[idx] = vt[-1]
+            raise ObservabilityDefectError(
+                f"observation Gramian numerically singular (relative smallest "
+                f"singular value {svals[-1] / svals[0]:.3e})", direction=direction)
+        y = np.exp(-lams * t_horizon)[:, None] * vt.T / svals
+        _, s_y, vt_y = np.linalg.svd(y)
+        best = vt.T @ (vt_y[0] / svals)
+        best /= np.linalg.norm(best)
+        if best[np.argmax(np.abs(best))] < 0:
+            best = -best
+        direction[idx] = best
+        return ObservabilityConstant(value=float(s_y[0] ** 2), indices=idx,
+                                     direction=direction)
 
 
 def cost_and_constant_fit(points, sweep, gamma=None):

@@ -9,6 +9,9 @@ with closed-form x1 integrals and Gauss-Legendre quadrature in x2.
 """
 
 import contextlib
+import ctypes
+import functools
+import glob
 import json
 import math
 import os
@@ -186,6 +189,48 @@ def _eps_rank_rows(a):
     _, sv, vt = np.linalg.svd(np.linalg.qr(a, mode="r") / d, full_matrices=False)
     keep = sv > np.finfo(float).eps * sv[0]
     return sv[keep, None] * vt[keep] * d
+
+
+@functools.cache
+def _openblas_threads_api():
+    """(get, set) of the thread count of the OpenBLAS numpy is linked to, or
+    None where that library or either symbol is missing (another BLAS,
+    another wheel).  numpy's wheels bundle it as
+    ``numpy.libs/libscipy_openblas64_*.so``; RTLD_NOLOAD binds the copy numpy
+    already loaded and never loads a second one."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS at one thread and restore the count
+    read on entry, also when the body raises, so nested use is safe; a no-op
+    where :func:`_openblas_threads_api` finds nothing.  The QRs and SVDs of
+    the square-root factors (96 to 220 columns) run faster on one thread
+    than on the default pool, and their results then do not depend on the
+    host's thread count."""
+    api = _openblas_threads_api()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 # rows per incremental-QR chunk of stacked_factor_r (R included), which

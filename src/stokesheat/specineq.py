@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError, KernelQuadratureError
 from .fitting import linear_fit
-from .hilbert import obs_gramian, sampled_velocity_factor, stacked_factor_r
+from .hilbert import (_one_blas_thread, obs_gramian, sampled_velocity_factor,
+                      stacked_factor_r)
 from .quadrature import (COS, GAUSS_NODES_X2, gauss_legendre, trig_eval,
                          trig_pair_integral)
 
@@ -170,17 +171,20 @@ def mineig_weighted_gramian(basis, lam_cap, region, kernel):
     to the numerical rank k of the column-equilibrated weights (5 to 12 in
     that run), so the QR sees k * n rows.  The result is a
     :class:`MinEig`: a float that also carries kappa(F), and 2 eps kappa(F)
-    bounds the value's relative error.
+    bounds the value's relative error.  The factor's QRs and SVD run on
+    numpy's BLAS at one thread (:func:`hilbert._one_blas_thread`), so the
+    value does not depend on the host's BLAS thread count.
     """
     idx = basis.low_indices(lam_cap)
     if len(idx) == 0:
         raise InvalidArgumentError(f"no modes at or below lam_cap {lam_cap!r}")
-    r_g = sampled_velocity_factor(basis, idx, region)
-    q = np.sqrt(basis.lambdas[idx])
-    s, w = kernel_quadrature(kernel, m_max=2.0 * q.max())
-    r_f = stacked_factor_r(r_g, np.sqrt(w) * kernel.kappa(s),
-                           np.cosh(np.outer(s, q)))
-    svals = np.linalg.svd(r_f, compute_uv=False)
+    with _one_blas_thread():
+        r_g = sampled_velocity_factor(basis, idx, region)
+        q = np.sqrt(basis.lambdas[idx])
+        s, w = kernel_quadrature(kernel, m_max=2.0 * q.max())
+        r_f = stacked_factor_r(r_g, np.sqrt(w) * kernel.kappa(s),
+                               np.cosh(np.outer(s, q)))
+        svals = np.linalg.svd(r_f, compute_uv=False)
     kappa_f = svals[0] / svals[-1] if svals[-1] > 0 else math.inf
     return MinEig(svals[-1] ** 2, float(kappa_f))
 

@@ -16,7 +16,9 @@ those two builders on top of it, which ``spectral._boundary_matrix`` and
 ``spectral._stream_norm`` must match bit for bit, and :func:`ref_build_mode`
 assembles a mode from them as ``spectral.build_mode`` does.  It keeps the
 evanescent branch lam < k^2 that ``spectral`` no longer evaluates, so that
-the tests can show no sector eigenvalue lies there.
+the tests can show no sector eigenvalue lies there;
+:func:`ref_boundary_matrices` is the same boundary matrix over an array of
+lams on both branches, bit for bit, for scans of that branch.
 """
 
 import math
@@ -61,6 +63,46 @@ def ref_boundary_matrix(k, lam):
                - _fundamental(k, lam, 1.0, 3))
     scale = np.abs(rows).max(axis=1, keepdims=True)
     return rows / scale
+
+
+def _py_powers(values, deriv):
+    """``v ** deriv`` per entry on Python floats, the C ``pow`` that
+    :func:`_fundamental` takes on a scalar (numpy's power may round the
+    last bit differently)."""
+    return np.array([v ** deriv for v in np.asarray(values, float).tolist()])
+
+
+def _fundamental_at(k, lams, x, deriv):
+    """:func:`_fundamental` at one point x for many lam, shape (len(lams), 4):
+    each row repeats the scalar arithmetic elementwise on its own branch."""
+    lams = np.asarray(lams, dtype=float)
+    x = np.asarray(x, dtype=float)
+    kk = float(k)
+    rows = np.empty((len(lams), 4))
+    rows[:, 0] = (-kk) ** deriv * np.exp(-kk * x)
+    rows[:, 1] = kk ** deriv * np.exp(kk * (x - 1.0))
+    osc = lams > kk * kk
+    b = np.sqrt(lams[osc] - kk * kk)
+    b_pow = _py_powers(b, deriv)
+    rows[osc, 2] = b_pow * np.cos(b * x + deriv * 0.5 * np.pi)
+    rows[osc, 3] = b_pow * np.sin(b * x + deriv * 0.5 * np.pi)
+    mu = np.sqrt(kk * kk - lams[~osc])
+    rows[~osc, 2] = _py_powers(-mu, deriv) * np.exp(-mu * x)
+    rows[~osc, 3] = _py_powers(mu, deriv) * np.exp(mu * (x - 1.0))
+    return rows
+
+
+def ref_boundary_matrices(k, lams):
+    """Stack of :func:`ref_boundary_matrix` over an array of lams, (N, 4, 4),
+    on both branches, bit for bit."""
+    lams = np.asarray(lams, dtype=float)
+    mats = np.empty((len(lams), 4, 4))
+    mats[:, 0] = _fundamental_at(k, lams, 0.0, 0)
+    mats[:, 1] = _fundamental_at(k, lams, 0.0, 1)
+    mats[:, 2] = _fundamental_at(k, lams, 1.0, 1)
+    mats[:, 3] = ((k * k * (k * k - lams))[:, None] * _fundamental_at(k, lams, 1.0, 0)
+                  - _fundamental_at(k, lams, 1.0, 3))
+    return mats / np.abs(mats).max(axis=2, keepdims=True)
 
 
 def ref_stream_norm(k, lam, c):

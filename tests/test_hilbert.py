@@ -12,6 +12,8 @@ from stokesheat import (
     BasisVersionError,
     FULL_REGION,
     InvalidArgumentError,
+    Kernel,
+    ObservabilityDefectError,
     ObservationRegion,
     StateVector,
     apply_B,
@@ -26,7 +28,7 @@ from stokesheat import (
     trace_gramian,
     zero_mode,
 )
-from stokesheat import hilbert
+from stokesheat import control, hilbert, specineq
 from stokesheat.quadrature import trig_pair_integral
 from stokesheat.spectral import EigenBasis
 
@@ -677,3 +679,110 @@ def test_stacked_factor_r_all_zero_weights_is_zero_r(n_blocks):
                                    rng.uniform(0.5, 2.0, (n_blocks, n)))
     assert got.shape == (n, n)
     assert not got.any()
+
+
+# numpy's OpenBLAS thread limiter around the square-root-factor solvers
+
+needs_openblas = pytest.mark.skipif(
+    hilbert._openblas_threads_api() is None,
+    reason="numpy is not linked to a bundled OpenBLAS with the thread API")
+
+
+@pytest.fixture()
+def blas_threads():
+    """numpy's OpenBLAS thread count getter, with the pool at 2 threads for
+    the test and back at its entry count afterwards."""
+    get, set_ = hilbert._openblas_threads_api()
+    entry = get()
+    set_(2)
+    yield get
+    set_(entry)
+
+
+def _factor_solvers(basis, region):
+    """The two callers of the limiter: (module, call) pairs."""
+    kernel = Kernel.default()
+    return [
+        (control, lambda: control.obs_constant(basis, 40.0, 0.5, region)),
+        (specineq, lambda: specineq.mineig_weighted_gramian(basis, 40.0, region,
+                                                            kernel)),
+    ]
+
+
+@needs_openblas
+def test_factor_solvers_run_stacked_factor_r_at_one_blas_thread(
+        monkeypatch, blas_threads, basis60, region_half):
+    for module, call in _factor_solvers(basis60, region_half):
+        seen = []
+
+        def recording(*args, _real=module.stacked_factor_r):
+            seen.append(blas_threads())
+            return _real(*args)
+
+        monkeypatch.setattr(module, "stacked_factor_r", recording)
+        before = blas_threads()
+        call()
+        assert seen == [1], module.__name__
+        assert blas_threads() == before, module.__name__
+
+
+@needs_openblas
+def test_blas_thread_count_is_restored_when_obs_constant_raises(
+        blas_threads, basis60, region_half):
+    before = blas_threads()
+    with pytest.raises(ObservabilityDefectError):
+        control.obs_constant(basis60, 40.0, 0.5, region_half,
+                             defect_threshold=1.0)
+    assert blas_threads() == before
+
+
+@needs_openblas
+def test_one_blas_thread_nests(blas_threads):
+    with hilbert._one_blas_thread():
+        with hilbert._one_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+
+
+def test_factor_solvers_without_the_thread_api(monkeypatch, basis60,
+                                               region_half):
+    # with the pool already at one thread, the no-op path computes the same
+    # bits as the limiter
+    api = hilbert._openblas_threads_api()
+    entry = api[0]() if api else None
+    if api:
+        api[1](1)
+    try:
+        want = [call() for _, call in _factor_solvers(basis60, region_half)]
+        monkeypatch.setattr(hilbert, "_openblas_threads_api", lambda: None)
+        got = [call() for _, call in _factor_solvers(basis60, region_half)]
+    finally:
+        if api:
+            api[1](entry)
+    assert got[0].value == want[0].value
+    assert np.array_equal(got[0].direction, want[0].direction)
+    assert got[1] == want[1] and got[1].kappa_f == want[1].kappa_f
+
+
+def _no_library(*args, **kwargs):
+    raise OSError("not loaded")
+
+
+class _NoSymbols:
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+
+@pytest.mark.parametrize("target, stand_in", [
+    ("glob.glob", lambda pattern: []),
+    ("ctypes.CDLL", _no_library),
+    ("ctypes.CDLL", _NoSymbols),
+], ids=["no library file", "library not loaded", "symbols missing"])
+def test_thread_api_lookup_reports_a_missing_library_or_symbol(
+        monkeypatch, target, stand_in):
+    monkeypatch.setattr(target, stand_in)
+    assert hilbert._openblas_threads_api.__wrapped__() is None

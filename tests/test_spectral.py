@@ -23,7 +23,8 @@ from stokesheat.spectral import (bracket_roots, build_mode, dispersion,
 from stokesheat.quadrature import trig_pair_integral, COS
 
 from mode_reference import (_fundamental, eval_mode, mode_profile, mode_x1_trig,
-                            ref_boundary_matrix, ref_build_mode,
+                            ref_boundary_matrices, ref_boundary_matrix,
+                            ref_build_mode,
                             ref_stream_norm, stream_eval)
 
 
@@ -113,8 +114,7 @@ def test_no_dispersion_root_below_k_squared():
         top = min(k * k - 2 * guard, 1e4)
         grid = np.arange(math.sqrt(1e-4), math.sqrt(top), 1.0 / 64)
         lams = np.append(grid * grid, top)
-        dets = np.array([np.linalg.det(ref_boundary_matrix(k, lam))
-                         for lam in lams])
+        dets = np.linalg.det(ref_boundary_matrices(k, lams))
         assert np.all(np.sign(dets) == np.sign(dets[0])) and dets[0] != 0, k
 
 
@@ -193,6 +193,29 @@ def test_boundary_matrix_is_bit_equal_to_reference(point):
     for lam in lams:
         assert (spectral._boundary_matrix(k, lam).tobytes()
                 == ref_boundary_matrix(k, lam).tobytes()), (k, lam)
+
+
+@st.composite
+def two_branch_points(draw):
+    """(k, lams): a wavenumber and points on both sides of k**2, some of
+    them just outside the degeneracy guard."""
+    k = draw(st.integers(1, 64))
+    guard = spectral.degeneracy_tolerance(k)
+    below = st.one_of(st.floats(1e-4, k * k - 2 * guard),
+                      st.floats(2.0, 10.0).map(lambda t: k * k - guard * t))
+    above = st.one_of(st.floats(1.01, 10.0).map(lambda t: k * k + guard * t),
+                      st.floats(k * k + 2 * guard, 1e6))
+    lams = draw(st.lists(st.one_of(below, above), min_size=1, max_size=16))
+    return k, np.array(lams)
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_branch_points())
+def test_batched_reference_boundary_matrices_are_bit_equal_to_scalar(point):
+    # the evanescent scan above reads the batched reference
+    k, lams = point
+    for lam, mat in zip(lams, ref_boundary_matrices(k, lams)):
+        assert mat.tobytes() == ref_boundary_matrix(k, lam).tobytes(), (k, lam)
 
 
 @settings(max_examples=200, deadline=None)
