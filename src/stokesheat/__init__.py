@@ -22,7 +22,6 @@ from .errors import (
     BasisVersionError,
     ConfigError,
     DegenerateBranchError,
-    IncompleteBasisError,
     InvalidArgumentError,
     InvalidBracketError,
     MultiplicityError,
@@ -35,12 +34,9 @@ from .hilbert import (
     FULL_REGION,
     ObservationRegion,
     StateVector,
-    apply_B,
-    inner,
     load_basis,
     norm,
     obs_gramian,
-    project,
     rayleigh_matrix,
     save_basis,
     semigroup,

@@ -24,7 +24,6 @@ FORMATS = ("csv", "structured")
 @dataclass
 class BasisConfig:
     lambda_max: float = 1200.0
-    k_max: int = None
     density: int = 16
     refine_tol: float = 1e-12
 
@@ -81,8 +80,7 @@ class RunConfig:
 # one flag that is not a key: it splits x1lo,x1hi,x2lo,x2hi into region.x1 and
 # region.x2, whose pair type rejects any other count.
 FLAGS = {
-    "--lambda-max": "basis.lambda_max", "--k-max": "basis.k_max",
-    "--density": "basis.density",
+    "--lambda-max": "basis.lambda_max", "--density": "basis.density",
     "--gamma": "schedule.gamma", "--epsilon": "schedule.epsilon",
     "--t-horizon": "schedule.t_horizon", "--lambda-cap": "schedule.lambda_cap",
     "--reg-threshold": "schedule.reg_threshold",
@@ -198,8 +196,6 @@ def validate_config(cfg):
     b = cfg.basis
     if not b.lambda_max > 0:
         raise ConfigError("basis.lambda_max must be positive")
-    if b.k_max is not None and b.k_max < 1:
-        raise ConfigError("basis.k_max must be >= 1")
     if b.density < 4:
         raise ConfigError("basis.density must be >= 4")
     if not 0 < b.refine_tol < 1:

@@ -30,11 +30,6 @@ class MultiplicityError(StokesHeatError):
     build refuses to pick a splitting convention."""
 
 
-class IncompleteBasisError(StokesHeatError):
-    """The sector k_max still has eigenvalues at or below the requested
-    cutoff; raise k_max."""
-
-
 class OracleFailureError(StokesHeatError):
     """The discretization oracle's eigenvalue iteration did not converge."""
 

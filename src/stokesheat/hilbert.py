@@ -1,5 +1,5 @@
-"""Modal representation of states, semigroup and control operators,
-observation Gramians, and eigenbasis persistence.
+"""Modal representation of states, the semigroup, observation Gramians and
+their square-root factors, and eigenbasis persistence.
 
 All evolution and all inner products are modal: a state is a coefficient
 vector over an orthonormal eigenbasis, the semigroup is a diagonal
@@ -42,6 +42,7 @@ from .spectral import (
     EigenMode,
     TWO_PI,
     require_oscillatory,
+    zero_mode,
 )
 
 
@@ -98,23 +99,12 @@ class ModalGramian:
     matrix: np.ndarray
 
 
-def _check_same_basis(x, y):
-    if x.basis.basis_id != y.basis.basis_id:
-        raise InvalidArgumentError("states live on different bases")
-
-
 def check_gramian(basis, gramian):
     """Reject a Gramian that was assembled on a different basis."""
     if gramian.basis_id != basis.basis_id:
         raise InvalidArgumentError(
             "observation Gramian was assembled on a different basis")
     return gramian
-
-
-def inner(x, y):
-    """H inner product; Parseval over the orthonormal basis."""
-    _check_same_basis(x, y)
-    return float(np.dot(x.coeffs, y.coeffs))
 
 
 def norm(x):
@@ -126,14 +116,6 @@ def semigroup(x, t):
     if t < 0:
         raise InvalidArgumentError(f"time must be nonnegative, got {t!r}")
     return StateVector(x.basis, x.coeffs * np.exp(-x.basis.lambdas * t))
-
-
-def project(x, lam_cap):
-    """Orthogonal projection onto the span of modes with lambda <= lam_cap."""
-    idx = x.basis.low_indices(lam_cap)
-    a = np.zeros_like(x.coeffs)
-    a[idx] = x.coeffs[idx]
-    return StateVector(x.basis, a)
 
 
 def obs_gramian(basis, region):
@@ -309,22 +291,6 @@ def rayleigh_matrix(basis):
     return -0.5 * (total + total.T)
 
 
-def apply_B(gramian, g, indices):
-    """Forcing coefficients of a modal control supported on ``indices``.
-
-    With f = sum_j g_j u_j restricted to the region, mode l is forced by
-    (M g)_l; linear in g and extended over the full basis.
-    """
-    m = gramian.matrix
-    g = np.asarray(g, dtype=float)
-    idx = np.asarray(indices, dtype=int)
-    if g.shape != idx.shape:
-        raise InvalidArgumentError("control coefficients and index set differ in length")
-    if len(idx) and (idx.min() < 0 or idx.max() >= m.shape[0]):
-        raise InvalidArgumentError("control index outside the basis")
-    return m[:, idx] @ g
-
-
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -346,31 +312,46 @@ def _json_int(value, name):
     return value
 
 
+def _json_float(value, name):
+    """``value`` if it is a JSON float, as the writer emits every float
+    field; an integer, string or bool is rejected."""
+    if type(value) is not float:
+        raise BasisFormatError(f"{name} {value!r} is not a JSON float")
+    return value
+
+
 def _mode_from_record(rec):
-    """The mode of a cache record; a k >= 1 record's ``branch`` must be
-    ``oscillatory`` and its lambda above k**2 and the guard interval, where
-    every sector eigenvalue lies, and its phase cosine or sine (None at
-    k = 0)."""
+    """The mode of a cache record.  A k = 0 record must be ``zero_mode(n)``
+    field for field.  A k >= 1 record's ``branch`` must be ``oscillatory``,
+    its lambda above k**2 and the guard interval, where every sector
+    eigenvalue lies, and its phase cosine or sine."""
     try:
-        k = _json_int(rec["k"], "k")
-        lam = float(rec["lambda"])
+        k, n = _json_int(rec["k"], "k"), _json_int(rec["n"], "n")
+        lam = _json_float(rec["lambda"], "lambda")
+        eta_trace = _json_float(rec["eta_trace"], "eta_trace")
         if k == 0:
-            c, norm_factor, amplitude = (0.0,) * 4, 0.0, float(rec["amplitude"])
-        else:
-            c = tuple(float(v) for v in rec["c"])
-            if len(c) != 4:
-                raise BasisFormatError("c must carry 4 coefficients")
-            if rec["branch"] != OSCILLATORY:
-                raise BasisFormatError(
-                    f"branch {rec['branch']!r} is not {OSCILLATORY!r} at k={k}")
-            require_oscillatory(k, lam)
-            norm_factor, amplitude = float(rec["norm_factor"]), 0.0
+            want = zero_mode(n)
+            read = (lam, rec["phase"], _json_float(rec["amplitude"], "amplitude"),
+                    eta_trace)
+            if read != (want.lam, want.phase, want.amplitude, want.eta_trace):
+                raise BasisFormatError(f"(lambda, phase, amplitude, eta_trace) "
+                                       f"{read!r} is not zero_mode({n})'s")
+            return want
+        if k < 0:
+            raise BasisFormatError(f"k {k} is negative")
+        c = tuple(_json_float(v, "c") for v in rec["c"])
+        if len(c) != 4:
+            raise BasisFormatError("c must carry 4 coefficients")
+        if rec["branch"] != OSCILLATORY:
+            raise BasisFormatError(
+                f"branch {rec['branch']!r} is not {OSCILLATORY!r} at k={k}")
+        require_oscillatory(k, lam)
         phase = rec["phase"]
-        if phase not in ((None,) if k == 0 else (COSINE, SINE)):
+        if phase not in (COSINE, SINE):
             raise BasisFormatError(f"phase {phase!r} is not valid at k={k}")
-        return EigenMode(k=k, n=_json_int(rec["n"], "n"), lam=lam, phase=phase,
-                         c=c, norm_factor=norm_factor, amplitude=amplitude,
-                         eta_trace=float(rec["eta_trace"]))
+        return EigenMode(k=k, n=n, lam=lam, phase=phase, c=c,
+                         norm_factor=_json_float(rec["norm_factor"], "norm_factor"),
+                         amplitude=0.0, eta_trace=eta_trace)
     except (KeyError, TypeError, ValueError, DegenerateBranchError) as exc:
         raise BasisFormatError(f"malformed mode record: {exc}") from exc
 
@@ -431,13 +412,16 @@ def _basis_from_document(doc):
             modes.append(_mode_from_record(rec))
         except BasisFormatError as exc:
             raise BasisFormatError(f"modes[{i}]: {exc}") from exc
-    basis = EigenBasis(cutoff=float(doc["cutoff"]),
-                       k_range=_json_int(doc["k_range"], "k_range"),
+    basis = EigenBasis(cutoff=_json_float(doc["cutoff"], "cutoff"),
                        modes=tuple(modes), metadata=dict(doc["metadata"]))
     built_for = basis.metadata.get("lambda_max")
     if basis.cutoff != built_for:
         raise BasisFormatError(f"cutoff {basis.cutoff!r} is not the "
                                f"lambda_max {built_for!r} it was built for")
+    k_range = _json_int(doc["k_range"], "k_range")
+    if k_range != basis.k_range:
+        raise BasisFormatError(f"k_range {k_range!r} is not {basis.k_range!r}, "
+                               "the first wavenumber past the cutoff")
     lams = basis.lambdas
     if np.any(np.diff(lams) < 0):
         raise BasisFormatError("lambda is not nondecreasing")
@@ -449,9 +433,11 @@ def _basis_from_document(doc):
 
 def load_basis(path):
     """Reload a basis cache; rejects version mismatch, malformed files, any
-    non-finite number, a k, n or k_range that is not a JSON integer, and a
-    cutoff or lambda order that contradicts the build.  Every rejection is a
-    BasisFormatError (BasisVersionError for the schema) that names the file."""
+    non-finite number, a k, n or k_range that is not a JSON integer, a float
+    field that is not a JSON float, a k = 0 mode other than ``zero_mode(n)``,
+    and a k_range, cutoff or lambda order that contradicts the build.  Every
+    rejection is a BasisFormatError (BasisVersionError for the schema) that
+    names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_finite_number,

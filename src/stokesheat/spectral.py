@@ -51,7 +51,6 @@ import numpy as np
 
 from .errors import (
     DegenerateBranchError,
-    IncompleteBasisError,
     InvalidArgumentError,
     InvalidBracketError,
     MultiplicityError,
@@ -104,17 +103,28 @@ class EigenMode:
     eta_trace: float    # amplitude of the boundary heat unknown
 
 
+def sector_limit(cutoff):
+    """max(1, ceil(sqrt(cutoff))): the least wavenumber whose sector has no
+    eigenvalue <= cutoff, since every sector-k eigenvalue exceeds k**2."""
+    return max(1, math.ceil(math.sqrt(cutoff)))
+
+
 @dataclass
 class EigenBasis:
     """Ordered orthonormal eigenmode collection up to a cutoff."""
 
     cutoff: float
-    k_range: int
     modes: tuple
     metadata: dict
 
     def __len__(self):
         return len(self.modes)
+
+    @property
+    def k_range(self):
+        """The first wavenumber with no mode: :func:`sector_limit` of the
+        cutoff."""
+        return sector_limit(self.cutoff)
 
     @functools.cached_property
     def table(self):
@@ -531,13 +541,12 @@ def _sector_modes(k, lam_max, density, tol):
     return modes
 
 
-def build_settings(lam_max, k_max, density, tol):
+def build_settings(lam_max, density, tol):
     """The build settings :func:`assemble_basis` records in a basis's
     metadata; a cache is reusable only where they match."""
     return {
         "schema_version": SCHEMA_VERSION,
         "lambda_max": float(lam_max),
-        "k_max": None if k_max is None else int(k_max),
         "scan_density": int(density),
         "refine_tol": float(tol),
         "residual_gate": RESIDUAL_GATE,
@@ -546,32 +555,23 @@ def build_settings(lam_max, k_max, density, tol):
     }
 
 
-def assemble_basis(lam_max, k_max=None, density=16, tol=1e-12, threads=1):
+def assemble_basis(lam_max, *, density=16, tol=1e-12, threads=1):
     """Gather every eigenmode with lambda <= lam_max into an ordered basis.
 
-    ``k_max`` defaults to ceil(sqrt(lam_max)), the smallest wavenumber whose
-    sector is empty below the cutoff by the bound lam > k**2 (so its scan
-    evaluates nothing).  A smaller configured k_max is still scanned, and
-    an eigenvalue <= lam_max there raises IncompleteBasisError
-    (completeness is checked, not assumed).  Sector scans may run on
-    ``threads`` workers; the merge is a deterministic sort, so the result is
-    independent of the parallelism.
+    The cutoff alone fixes the sectors: k = 1 .. sector_limit(lam_max) - 1
+    are scanned, and no later sector has an eigenvalue <= lam_max, because
+    every sector-k eigenvalue exceeds k**2 (a bound the tests check against
+    the oracle).  Sector scans may run on ``threads`` workers; the merge is
+    a deterministic sort, so the result is independent of the parallelism.
     """
     if not lam_max > 0:
         raise InvalidArgumentError("lam_max must be positive")
-    if k_max is None:
-        k_max = max(1, math.ceil(math.sqrt(lam_max)))
-    if k_max < 1:
-        raise InvalidArgumentError("k_max must be >= 1")
-    if bracket_roots(k_max, lam_max, density):
-        raise IncompleteBasisError(
-            f"sector k={k_max} still has eigenvalues <= {lam_max}; raise k_max")
     modes = []
     n = 1
     while (n * np.pi) ** 2 <= lam_max:
         modes.append(zero_mode(n))
         n += 1
-    sectors = range(1, k_max)  # sector k_max was just found empty
+    sectors = range(1, sector_limit(lam_max))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(
@@ -581,8 +581,7 @@ def assemble_basis(lam_max, k_max=None, density=16, tol=1e-12, threads=1):
     for sector in results:
         modes.extend(sector)
     modes.sort(key=lambda m: (m.lam, m.k, _PHASE_RANK[m.phase]))
-    metadata = {**build_settings(lam_max, k_max, density, tol),
+    metadata = {**build_settings(lam_max, density, tol),
                 "built_utc": datetime.now(timezone.utc).isoformat()}
-    return EigenBasis(cutoff=float(lam_max), k_range=int(k_max),
-                      modes=tuple(modes), metadata=metadata)
-
+    return EigenBasis(cutoff=float(lam_max), modes=tuple(modes),
+                      metadata=metadata)

@@ -49,7 +49,7 @@ def test_caller_imports_are_exported(caller):
 
 def test_export_list_stays_small():
     assert len(CALLERS) == 5
-    assert len(exported()) <= 40
+    assert len(exported()) <= 35
 
 
 def test_readme_example_runs():

@@ -138,6 +138,26 @@ def test_eigens_cache_with_edited_cutoff_rebuilds(tmp_path, capsys):
     assert json.loads(cache.read_text())["cutoff"] == 60.0
 
 
+def test_eigens_cache_with_another_k_range_rebuilds(tmp_path, capsys):
+    # a k_range of 20, as a build with a configured k_max once wrote, is not
+    # the ceil(sqrt(60)) = 8 that the cutoff fixes
+    cache = tmp_path / "b.json"
+    args = ["eigens", "--lambda-max", "60", "--cache", str(cache)]
+    assert run_cli(args + ["--out-dir", str(tmp_path / "r1")]) == 0
+    doc = json.loads(cache.read_text())
+    assert doc["k_range"] == 8
+    doc["k_range"] = 20
+    cache.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(args + ["--out-dir", str(tmp_path / "r2")]) == 0
+    err = capsys.readouterr().err
+    assert "k_range 20 is not 8" in err and "rebuilding" in err
+    for name in ("modes.csv", "orthonormality.json"):
+        assert ((tmp_path / "r1" / name).read_bytes()
+                == (tmp_path / "r2" / name).read_bytes())
+    assert json.loads(cache.read_text())["k_range"] == 8
+
+
 def test_specineq_empty_sweep_usage_error(tmp_path):
     code = run_cli(["specineq", "--lambda-max", "60", "--lambda-list", "",
                     "--out-dir", str(tmp_path)])
@@ -381,23 +401,41 @@ def test_cache_reused_only_with_matching_build_settings(tmp_path, capsys):
     cache = tmp_path / "b.json"
     base = ["eigens", "--lambda-max", "60", "--out-dir", str(tmp_path),
             "--cache", str(cache)]
-    assert run_cli(base + ["--density", "8", "--k-max", "20"]) == 0
+    assert run_cli(base + ["--density", "8"]) == 0
     capsys.readouterr()
-    assert run_cli(base + ["--density", "8", "--k-max", "20"]) == 0
+    assert run_cli(base + ["--density", "8"]) == 0
     assert "loaded basis from cache" in capsys.readouterr().err
-    # a default run must not silently reuse the density-8, k_max=20 build
+    # a default run must not silently reuse the density-8 build
     assert run_cli(base) == 0
     err = capsys.readouterr().err
     assert "scan_density 8, want 16" in err and "rebuilding" in err
     from stokesheat import load_basis
 
-    meta = load_basis(cache).metadata
-    assert (meta["scan_density"], meta["k_max"]) == (16, 8)
-    # k_max is compared only when it is configured
-    assert run_cli(base + ["--k-max", "8"]) == 0
+    assert load_basis(cache).metadata["scan_density"] == 16
+
+
+def test_k_max_flag_is_a_usage_error(tmp_path, capsys):
+    # the cutoff alone fixes the sectors of a basis
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["eigens", "--lambda-max", "60", "--k-max", "8",
+                 "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--k-max" in capsys.readouterr().err
+
+
+def test_cache_with_a_k_max_setting_still_loads(tmp_path, capsys):
+    # caches written while k_max was a build setting record it, as the
+    # k_range of the build
+    cache = tmp_path / "b.json"
+    args = ["eigens", "--lambda-max", "60", "--out-dir", str(tmp_path),
+            "--cache", str(cache)]
+    assert run_cli(args) == 0
+    doc = json.loads(cache.read_text())
+    doc["metadata"]["k_max"] = doc["k_range"]
+    cache.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(args) == 0
     assert "loaded basis from cache" in capsys.readouterr().err
-    assert run_cli(base + ["--k-max", "9"]) == 0
-    assert "k_max 8, want 9" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [("residual_gate", 1e-05),

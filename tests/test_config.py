@@ -37,10 +37,9 @@ def test_null_rejected_where_default_is_not_none(tmp_path, capsys, doc):
 
 def test_null_accepted_where_default_is_none(tmp_path):
     path = write_config(tmp_path / "cfg.json", {
-        "basis": {"k_max": None}, "kernel": {"support": None},
-        "io": {"cache_path": None}})
+        "kernel": {"support": None}, "io": {"cache_path": None}})
     cfg = load_config(path)
-    assert cfg.basis.k_max is None and cfg.io.cache_path is None
+    assert cfg.io.cache_path is None
     assert cfg.kernel.support == (0.25, 0.75)
 
 
@@ -101,6 +100,16 @@ def test_file_structure_errors(tmp_path):
             load_config(write_config(tmp_path / "cfg.json", doc))
 
 
+@pytest.mark.parametrize("value", [None, 8])
+def test_basis_k_max_is_an_unknown_key(tmp_path, capsys, value):
+    # the cutoff alone fixes the sectors of a basis
+    path = write_config(tmp_path / "cfg.json", {"basis": {"k_max": value}})
+    with pytest.raises(ConfigError, match="unknown key basis.k_max"):
+        load_config(path)
+    assert cli.main(["eigens", "--config", path]) == 2
+    assert "basis.k_max" in capsys.readouterr().err
+
+
 TWO_PI = 2.0 * math.pi
 positive = st.floats(0.01, 1e4)
 unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -120,7 +129,6 @@ def configs(draw):
         lambda p: (p[0] * s0, p[1] * s0)).filter(lambda p: p[0] < p[1]))
     return {
         "basis": {"lambda_max": draw(positive),
-                  "k_max": draw(st.none() | st.integers(1, 200)),
                   "density": draw(st.integers(4, 64)),
                   "refine_tol": draw(st.floats(1e-15, 0.5))},
         "region": {"x1": draw(interval(0.0, TWO_PI, st.floats(0.0, TWO_PI))),

@@ -29,7 +29,7 @@ from stokesheat.control import (ControlSegment, _exp_integral,
                                 window_observation)
 from stokesheat.spectral import EigenBasis
 
-from mode_reference import ref_sampled_velocity_factor
+from mode_reference import basis_state, ref_sampled_velocity_factor
 
 
 def unit_mix(basis, rng, n_low):
@@ -77,7 +77,7 @@ def test_make_schedule_clipping():
 
 
 def single_mode_basis():
-    return EigenBasis(cutoff=20.0, k_range=0, modes=(zero_mode(1),), metadata={})
+    return EigenBasis(cutoff=20.0, modes=(zero_mode(1),), metadata={})
 
 
 def test_stage_gramian_scalar_formula(region_half):
@@ -449,6 +449,43 @@ def test_obs_constant_matches_full_stack_within_eps_kappa(basis220,
         svals = np.linalg.svd(factors[-1], compute_uv=False)
         kappa_r = svals[0] / svals[-1]
         assert abs(got - ref) <= 2.0 * np.finfo(float).eps * kappa_r * ref
+
+
+# the README observe region: caps 25 and 50 keep every stage-Gramian
+# eigenvalue at each horizon, cap 100 drops 4 of 49 at T = 0.1
+@pytest.mark.parametrize("lam_cap", [25.0, 50.0, 100.0])
+def test_hum_duality_control_cost_meets_obs_constant(basis220, lam_cap):
+    # HUM duality (Lions, SIAM Review 30, 1988): stage_control's minimal
+    # cost of steering z0 to zero in a window T is (D z0)^T G^+ (D z0), with
+    # G the stage Gramian and D = diag(exp(-lam T)).  Its maximum over unit
+    # z0, lambda_max(D G^+ D), is obs_constant's C_obs(T) when G^+ keeps
+    # every eigenvalue, and at most C_obs when the truncation drops some.
+    # The eigh path resolves it to about n eps kappa of the kept spectrum,
+    # far above obs_constant's 2 eps kappa(R) floor.
+    region = ObservationRegion((0.0, 0.392699081698724), (0.47, 0.53))
+    gram = obs_gramian(basis220, region)
+    idx = basis220.low_indices(lam_cap)
+    decay_rates = basis220.lambdas[idx]
+    for t_hor in (0.1, 0.4, 0.8):
+        # column j of G^+ D is the amplitude vector that steers mode j
+        amps = [stage_control(basis_state(basis220, j), lam_cap, gram, t_hor,
+                              1e-12)[0].amplitudes for j in idx]
+        hum = np.exp(-decay_rates * t_hor)[:, None] * np.array(amps).T
+        w, v = np.linalg.eigh(0.5 * (hum + hum.T))
+        d = np.linalg.eigvalsh(stage_gramian(basis220, lam_cap, gram, t_hor))
+        kept = d > 1e-12 * d[-1]
+        floor = len(idx) * np.finfo(float).eps * d[-1] / d[kept].min()
+        z0 = np.zeros(len(basis220))
+        z0[idx] = v[:, -1]
+        _, info = stage_control(StateVector(basis220, z0), lam_cap, gram,
+                                t_hor, 1e-12)
+        assert info.rank_kept == kept.sum()
+        assert abs(info.cost / w[-1] - 1.0) <= floor
+        c_obs = obs_constant(basis220, lam_cap, t_hor, region).value
+        if kept.all():
+            assert abs(w[-1] / c_obs - 1.0) <= floor
+        else:
+            assert w[-1] <= c_obs * (1.0 + floor)
 
 
 def test_stage_control_with_eig_rejects_cutoff_above_basis(basis60,

@@ -16,12 +16,9 @@ from stokesheat import (
     ObservabilityDefectError,
     ObservationRegion,
     StateVector,
-    apply_B,
-    inner,
     load_basis,
     norm,
     obs_gramian,
-    project,
     rayleigh_matrix,
     save_basis,
     semigroup,
@@ -32,6 +29,7 @@ from stokesheat import control, hilbert, specineq
 from stokesheat.quadrature import trig_pair_integral
 from stokesheat.spectral import EigenBasis
 
+from modal_ops import apply_B, inner, project
 from mode_reference import basis_state, eval_mode
 
 
@@ -167,7 +165,7 @@ def test_parseval_split(basis120):
 
 def test_k0_block_closed_form():
     modes = tuple(zero_mode(n) for n in range(1, 5))
-    basis = EigenBasis(cutoff=200.0, k_range=0, modes=modes, metadata={})
+    basis = EigenBasis(cutoff=200.0, modes=modes, metadata={})
     a2, b2 = 0.25, 0.85
     m = obs_gramian(basis, ObservationRegion((0.0, 2 * np.pi), (a2, b2))).matrix
 
@@ -399,6 +397,7 @@ RECORD_FAULTS = {
     "wrong branch": lambda rec: rec.update(branch=FLIP_BRANCH[rec["branch"]]),
     "wrong phase": lambda rec: rec.update(phase=None),
     "c of 3 entries": lambda rec: rec.update(c=rec["c"][:3]),
+    "negative k": lambda rec: rec.update(k=-rec["k"]),
 }
 
 
@@ -527,6 +526,56 @@ def test_load_rejects_integer_field_that_is_not_a_json_integer(tmp_path,
                                                                basis60, edit):
     path = _edited_cache(tmp_path, basis60, NON_INTEGER_EDITS[edit])
     with pytest.raises(BasisFormatError, match="is not an integer"):
+        load_basis(path)
+
+
+# the float fields the loader reads; written as a string, a bool or an
+# integer, float() once read each as the number, so the cache loaded
+FLOAT_FIELDS = [field for field in CACHE_NUMBERS
+                if not field.startswith("metadata.")
+                and field.rpartition(".")[2] not in ("k", "n", "k_range")]
+NON_FLOAT_VALUES = {"string": repr, "true": lambda value: True,
+                    "integer": round}
+
+
+@pytest.mark.parametrize("kind", list(NON_FLOAT_VALUES))
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_load_rejects_float_field_that_is_not_a_json_float(tmp_path, basis60,
+                                                           field, kind):
+    def edit(doc):
+        holder, key = CACHE_NUMBERS[field](doc)
+        holder[key] = NON_FLOAT_VALUES[kind](holder[key])
+
+    with pytest.raises(BasisFormatError, match="is not a JSON float"):
+        load_basis(_edited_cache(tmp_path, basis60, edit))
+
+
+# k = 0 records of JSON-typed fields that are not zero_mode(n); each once
+# loaded, the first two as a mode that is not an eigenmode or not unit-norm
+ZERO_RECORD_EDITS = {
+    "lambda 1e-9 off": lambda rec: rec.update({"lambda": rec["lambda"] * (1 + 1e-9)}),
+    "amplitude 0.5": lambda rec: rec.update(amplitude=0.5),
+    "eta_trace 1e-3": lambda rec: rec.update(eta_trace=1e-3),
+    "n of another mode": lambda rec: rec.update(n=rec["n"] + 1),
+}
+
+
+@pytest.mark.parametrize("edit", list(ZERO_RECORD_EDITS))
+def test_load_rejects_k0_record_other_than_zero_mode(tmp_path, basis60, edit):
+    def apply(doc):
+        ZERO_RECORD_EDITS[edit](_zero_record(doc))
+
+    with pytest.raises(BasisFormatError, match=r"is not zero_mode\(\d+\)"):
+        load_basis(_edited_cache(tmp_path, basis60, apply))
+
+
+@pytest.mark.parametrize("k_range", [7, 9, 20])
+def test_load_rejects_k_range_other_than_the_cutoffs(tmp_path, basis60,
+                                                     k_range):
+    # ceil(sqrt(60)) = 8 is the first wavenumber with no eigenvalue <= 60
+    path = _edited_cache(tmp_path, basis60,
+                         lambda doc: doc.update(k_range=k_range))
+    with pytest.raises(BasisFormatError, match=f"k_range {k_range} is not 8"):
         load_basis(path)
 
 

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from stokesheat import (
     DegenerateBranchError,
-    IncompleteBasisError,
     InvalidArgumentError,
     InvalidBracketError,
     NotAnEigenvalueError,
@@ -480,7 +479,7 @@ def test_refine_root_same_sign_error():
 def test_build_settings_are_the_recorded_metadata(basis60):
     meta = dict(basis60.metadata)
     meta.pop("built_utc")
-    assert spectral.build_settings(60.0, basis60.k_range, 16, 1e-12) == meta
+    assert spectral.build_settings(60.0, 16, 1e-12) == meta
 
 
 def test_eigen_mode_is_one_flat_record(basis60):
@@ -657,9 +656,19 @@ def test_assemble_density_doubling_stable():
     assert np.abs(b16.lambdas - b32.lambdas).max() <= 1e-9 * b32.lambdas.max()
 
 
-def test_assemble_incomplete_basis_error():
-    with pytest.raises(IncompleteBasisError):
-        assemble_basis(50.0, k_max=3)
+@pytest.mark.parametrize("lam_max", [0.5, 1.0, 3.0, 60.0, 64.0, 65.0])
+def test_k_range_is_the_first_empty_sector(lam_max):
+    # the cutoff alone fixes the sectors: every sector-k eigenvalue exceeds
+    # k**2, so the scan of sector k_range = ceil(sqrt(lam_max)) finds nothing
+    basis = assemble_basis(lam_max)
+    assert basis.k_range == max(1, math.ceil(math.sqrt(lam_max)))
+    assert bracket_roots(basis.k_range, lam_max) == []
+    assert all(m.k < basis.k_range for m in basis.modes)
+    with pytest.raises(TypeError):
+        assemble_basis(lam_max, k_max=basis.k_range)
+    with pytest.raises(TypeError):
+        spectral.EigenBasis(cutoff=lam_max, k_range=basis.k_range,
+                            modes=basis.modes, metadata=basis.metadata)
 
 
 def test_assemble_thread_invariance(basis60):
