@@ -31,7 +31,7 @@ from .quadrature import (
     SIN,
     gauss_legendre,
     trig_eval,
-    trig_pair_matrix,
+    trig_pair_table,
 )
 from .spectral import (
     COSINE,
@@ -119,14 +119,13 @@ def semigroup(x, t):
 
 
 def obs_gramian(basis, region):
-    """Velocity observation Gramian M[j, l] = int_omega u_j . u_l dx."""
+    """Velocity observation Gramian M[j, l] = int_omega u_j . u_l dx, built in
+    place, bit for bit, with at most two n x n arrays live (:func:`_gramian`)."""
     x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)
     tab = basis.table
-    m = np.zeros((len(basis), len(basis)))
-    for comp in ("u1", "u2"):
-        vals = tab.profiles(x2, comp)
-        m += trig_pair_matrix(*tab.x1_trig(comp), *region.x1) * ((vals * w2) @ vals.T)
-    m = 0.5 * (m + m.T)
+    terms = ((np.matmul, v * w2, v.T, *tab.x1_trig(comp), *region.x1)
+             for comp in ("u1", "u2") for v in [tab.profiles(x2, comp)])
+    m = _gramian(terms, 0.5)
     m.setflags(write=False)
     return ModalGramian(basis_id=basis.basis_id, matrix=m)
 
@@ -218,6 +217,8 @@ def _one_blas_thread():
 # rows per incremental-QR chunk of stacked_factor_r (R included), which
 # bounds its working memory to O(_STACK_ROWS * n)
 _STACK_ROWS = 8192
+# rows per panel of the in-place Gramian assembly (temporaries _PANEL_ROWS x n)
+_PANEL_ROWS = 256
 
 
 def stacked_factor_r(r_g, row_weights, col_scales):
@@ -254,12 +255,43 @@ def stacked_factor_r(r_g, row_weights, col_scales):
     return out
 
 
+def _gramian(terms, scale, from_zeros=True):
+    """scale * (S + S^T), S = sum of op(left, right) o [int_a^b T_i T_j] over
+    the terms (op, left, right, kinds, waves, a, b), in two n x n arrays.  Row
+    panels of S + S^T read only unwritten entries (numpy copies the diagonal
+    block it overlaps); ``from_zeros`` makes -0.0 sums +0.0 as np.zeros + S does."""
+    total = buf = None
+    for op, left, right, kinds, waves, a, b in terms:
+        out = op(left, right, buf)
+        table, index = trig_pair_table(kinds, waves, a, b)
+        for i in range(0, len(out), _PANEL_ROWS):
+            out[i:i + _PANEL_ROWS] *= table[np.ix_(index[i:i + _PANEL_ROWS], index)]
+        total = out if total is None else np.add(total, out, out=total)
+        buf = None if out is total else out
+    if from_zeros:
+        total += 0.0
+    for i in range(0, len(total), _PANEL_ROWS):
+        rows = slice(i, i + _PANEL_ROWS)
+        total[rows, i:] += total[i:, rows].T
+        total[rows, i:] *= scale
+        total[i:, rows] = total[rows, i:].T
+    return total
+
+
 def trace_gramian(basis):
     """Closed-form boundary-trace Gramian N[j, l] = int_I eta_j eta_l dx1."""
-    tab = basis.table
-    x1_ints = trig_pair_matrix(*tab.x1_trig("eta"), 0.0, TWO_PI)
-    mat = np.outer(tab.eta_trace, tab.eta_trace) * x1_ints
-    return 0.5 * (mat + mat.T)
+    tab, eta = basis.table, basis.table.eta_trace
+    return _gramian([(np.multiply, eta[:, None], eta, *tab.x1_trig("eta"),
+                      0.0, TWO_PI)], 0.5, from_zeros=False)
+
+
+def parseval_deviation(basis):
+    """max |M(Omega) + N - I| on the full strip, reduced in N's own array."""
+    m = obs_gramian(basis, FULL_REGION).matrix
+    dev = trace_gramian(basis)
+    dev += m
+    dev[np.diag_indices_from(dev)] -= 1.0
+    return float(np.abs(dev, out=dev).max(initial=0.0))
 
 
 def rayleigh_matrix(basis):
@@ -272,23 +304,23 @@ def rayleigh_matrix(basis):
     """
     x2, w2 = gauss_legendre(GAUSS_NODES_X2, 0.0, 1.0)
     tab = basis.table
-    total = np.zeros((len(basis), len(basis)))
-    for comp in ("u1", "u2", "eta"):
-        kinds, waves = tab.x1_trig(comp)
-        # d/dx1 of sin(kx) is +k cos(kx); of cos(kx) is -k sin(kx)
-        dkinds = np.where(kinds == SIN, COS, SIN)
-        dsign = np.where(kinds == SIN, 1.0, -1.0) * waves
-        x1_deriv = trig_pair_matrix(dkinds, waves, 0.0, TWO_PI)
-        if comp == "eta":
-            deta = tab.eta_trace * dsign
-            total += x1_deriv * np.outer(deta, deta)
-            continue
-        v0s = tab.profiles(x2, comp) * dsign[:, None]
-        v1 = tab.profiles(x2, comp, deriv=1)
-        total += x1_deriv * ((v0s * w2) @ v0s.T)      # d/dx1 part
-        total += (trig_pair_matrix(kinds, waves, 0.0, TWO_PI)
-                  * ((v1 * w2) @ v1.T))               # d/dx2 part
-    return -0.5 * (total + total.T)
+
+    def terms():
+        for comp in ("u1", "u2", "eta"):
+            kinds, waves = tab.x1_trig(comp)
+            # d/dx1 of sin(kx) is +k cos(kx); of cos(kx) is -k sin(kx)
+            dkinds = np.where(kinds == SIN, COS, SIN)
+            dsign = np.where(kinds == SIN, 1.0, -1.0) * waves
+            if comp == "eta":
+                deta = tab.eta_trace * dsign
+                yield np.multiply, deta[:, None], deta, dkinds, waves, 0.0, TWO_PI
+                continue
+            v0s = tab.profiles(x2, comp) * dsign[:, None]
+            v1 = tab.profiles(x2, comp, deriv=1)
+            yield np.matmul, v0s * w2, v0s.T, dkinds, waves, 0.0, TWO_PI  # d/dx1
+            yield np.matmul, v1 * w2, v1.T, kinds, waves, 0.0, TWO_PI     # d/dx2
+
+    return _gramian(terms(), -0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -85,21 +85,20 @@ def trig_pair_integral(kind1, k1, kind2, k2, a, b):
     return out
 
 
-def trig_pair_matrix(kinds, waves, a, b):
-    """Pairwise matrix of :func:`trig_pair_integral` over one descriptor list.
+def trig_pair_table(kinds, waves, a, b):
+    """:func:`trig_pair_integral` on the distinct pairs of a descriptor list.
 
-    Entry (i, j) is the integral of T_i T_j over [a, b], where T_i is given by
-    ``kinds[i]`` and ``waves[i]``.  A basis repeats each (kind, wave) pair
-    many times, so the closed form is evaluated once on the distinct pairs
-    and gathered; every entry is bit-identical to the broadcast call.
+    Returns (table, index), ``table[index[i], index[j]]`` the integral of
+    T_i T_j over [a, b], T_i given by ``kinds[i]`` and ``waves[i]``.  A basis
+    repeats each (kind, wave) pair many times; every gathered entry is
+    bit-identical to the broadcast call.
     """
     desc = np.column_stack((np.asarray(kinds), np.asarray(waves, dtype=float)))
-    uniq, inv = np.unique(desc, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
+    uniq, index = np.unique(desc, axis=0, return_inverse=True)
     ukind, uwave = uniq[:, 0].astype(int), uniq[:, 1]
-    small = trig_pair_integral(ukind[:, None], uwave[:, None],
+    table = trig_pair_integral(ukind[:, None], uwave[:, None],
                                ukind[None, :], uwave[None, :], a, b)
-    return small[np.ix_(inv, inv)]
+    return table, index.reshape(-1)
 
 
 def trig_eval(kind, k, x, deriv=0):

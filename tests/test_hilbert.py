@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from stokesheat import (
     ObservabilityDefectError,
     ObservationRegion,
     StateVector,
+    assemble_basis,
     load_basis,
     norm,
     obs_gramian,
@@ -224,18 +226,50 @@ def test_rayleigh_matrix(basis120):
 
 def test_gramians_match_broadcast_pair_integrals(monkeypatch, basis120,
                                                 region_half):
-    fast = (obs_gramian(basis120, region_half).matrix,
-            trace_gramian(basis120), rayleigh_matrix(basis120))
+    def gramians():
+        return (obs_gramian(basis120, region_half).matrix,
+                trace_gramian(basis120), rayleigh_matrix(basis120))
 
     def broadcast(kinds, waves, a, b):
-        return trig_pair_integral(kinds[:, None], waves[:, None],
-                                  kinds[None, :], waves[None, :], a, b)
+        table = trig_pair_integral(kinds[:, None], waves[:, None],
+                                   kinds[None, :], waves[None, :], a, b)
+        return table, np.arange(len(kinds))
 
-    monkeypatch.setattr(hilbert, "trig_pair_matrix", broadcast)
-    ref = (obs_gramian(basis120, region_half).matrix,
-           trace_gramian(basis120), rayleigh_matrix(basis120))
-    for got, want in zip(fast, ref):
-        assert np.array_equal(got, want)
+    monkeypatch.setattr(hilbert, "trig_pair_table", broadcast)
+    ref = gramians()
+    monkeypatch.undo()
+    fast = gramians()
+    # 57 modes in 7-row panels: many gathered panels and symmetrized blocks
+    monkeypatch.setattr(hilbert, "_PANEL_ROWS", 7)
+    panelled = gramians()
+    assert [m.tobytes() for m in fast] == [m.tobytes() for m in ref]
+    assert [m.tobytes() for m in panelled] == [m.tobytes() for m in ref]
+
+
+def test_parseval_deviation_holds_at_most_three_gramian_arrays():
+    # obs_gramian, trace_gramian and the reduction of M + N - I together
+    # stay within three n x n arrays above entry; numpy reports its buffers
+    # to tracemalloc
+    basis = assemble_basis(1200.0)
+    basis.table     # built outside the measurement
+    n = len(basis)
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        dev = hilbert.parseval_deviation(basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dev <= 1e-8
+    assert peak - entry <= 3 * n * n * 8
+
+
+def test_parseval_deviation_matches_dense_expression(basis120):
+    m = obs_gramian(basis120, FULL_REGION).matrix + trace_gramian(basis120)
+    want = np.abs(m - np.eye(len(basis120))).max()
+    assert hilbert.parseval_deviation(basis120) == want
+    empty = EigenBasis(cutoff=3.0, modes=(), metadata={})
+    assert hilbert.parseval_deviation(empty) == 0.0
 
 
 def test_apply_B_full_region_identity(basis60):

@@ -34,7 +34,6 @@ from stokesheat.quadrature import (
     gauss_legendre,
     trig_eval,
     trig_pair_integral,
-    trig_pair_matrix,
 )
 from stokesheat.spectral import TWO_PI
 
@@ -52,6 +51,12 @@ def basis_at(lam_max):
 # ---------------------------------------------------------------------------
 # per-mode reference loops
 
+def pair_matrix(kinds, waves, a, b):
+    """The full pairwise matrix of trig_pair_integral, one broadcast call."""
+    return trig_pair_integral(kinds[:, None], waves[:, None],
+                              kinds[None, :], waves[None, :], a, b)
+
+
 def ref_obs_gramian(basis, region):
     x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)
     n = len(basis)
@@ -64,7 +69,7 @@ def ref_obs_gramian(basis, region):
             vals[c, j] = mode_profile(mode, x2, comp)
     m = np.zeros((n, n))
     for c in range(2):
-        x1_ints = trig_pair_matrix(kinds[c], waves[c], *region.x1)
+        x1_ints = pair_matrix(kinds[c], waves[c], *region.x1)
         m += x1_ints * ((vals[c] * w2) @ vals[c].T)
     return 0.5 * (m + m.T)
 
@@ -77,7 +82,7 @@ def ref_trace_gramian(basis):
     for j, mode in enumerate(basis.modes):
         kinds[j], waves[j] = mode_x1_trig(mode, "u2")
         amps[j] = mode.eta_trace
-    mat = np.outer(amps, amps) * trig_pair_matrix(kinds, waves, 0.0, TWO_PI)
+    mat = np.outer(amps, amps) * pair_matrix(kinds, waves, 0.0, TWO_PI)
     return 0.5 * (mat + mat.T)
 
 
@@ -96,8 +101,8 @@ def ref_rayleigh_matrix(basis):
             v1[j] = mode_profile(mode, x2, comp, deriv=1)
         dkinds = np.where(kinds == SIN, COS, SIN)
         dsign = np.where(kinds == SIN, 1.0, -1.0) * waves
-        x1_plain = trig_pair_matrix(kinds, waves, 0.0, TWO_PI)
-        x1_deriv = trig_pair_matrix(dkinds, waves, 0.0, TWO_PI)
+        x1_plain = pair_matrix(kinds, waves, 0.0, TWO_PI)
+        x1_deriv = pair_matrix(dkinds, waves, 0.0, TWO_PI)
         v0s = v0 * dsign[:, None]
         total += x1_deriv * ((v0s * w2) @ v0s.T)
         total += x1_plain * ((v1 * w2) @ v1.T)
@@ -109,7 +114,7 @@ def ref_rayleigh_matrix(basis):
         amps[j] = mode.eta_trace
     dkinds = np.where(kinds == SIN, COS, SIN)
     dsign = np.where(kinds == SIN, 1.0, -1.0) * waves
-    x1_deriv = trig_pair_matrix(dkinds, waves, 0.0, TWO_PI)
+    x1_deriv = pair_matrix(dkinds, waves, 0.0, TWO_PI)
     total += x1_deriv * np.outer(amps * dsign, amps * dsign)
     return -0.5 * (total + total.T)
 
@@ -194,14 +199,16 @@ def basis400():
 @pytest.mark.parametrize("region", [QUARTER, FULL_REGION],
                          ids=["quarter_strip", "full_strip"])
 def test_obs_gramian_bit_equal_to_per_mode_loop(basis400, region):
+    # byte equality: a flipped zero sign fails too
     got = obs_gramian(basis400, region).matrix
-    assert np.array_equal(got, ref_obs_gramian(basis400, region))
+    assert got.tobytes() == ref_obs_gramian(basis400, region).tobytes()
 
 
 def test_trace_and_rayleigh_bit_equal_to_per_mode_loop(basis400):
-    assert np.array_equal(trace_gramian(basis400), ref_trace_gramian(basis400))
-    assert np.array_equal(rayleigh_matrix(basis400),
-                          ref_rayleigh_matrix(basis400))
+    assert (trace_gramian(basis400).tobytes()
+            == ref_trace_gramian(basis400).tobytes())
+    assert (rayleigh_matrix(basis400).tobytes()
+            == ref_rayleigh_matrix(basis400).tobytes())
 
 
 def test_sampled_velocity_factor_matches_sample_matrix_qr(basis400):

@@ -11,7 +11,7 @@ from stokesheat.quadrature import (
     SIN,
     gauss_legendre,
     trig_pair_integral,
-    trig_pair_matrix,
+    trig_pair_table,
 )
 
 
@@ -50,12 +50,14 @@ endpoint = st.floats(-10.0, 10.0, allow_nan=False)
 
 @settings(max_examples=200, deadline=None)
 @given(descriptors, endpoint, endpoint)
-def test_trig_pair_matrix_matches_broadcast(desc, a, b):
+def test_trig_pair_table_matches_broadcast(desc, a, b):
     kinds = np.array([d[0] for d in desc])
     wav = np.array([d[1] for d in desc])
     want = trig_pair_integral(kinds[:, None], wav[:, None],
                               kinds[None, :], wav[None, :], a, b)
-    assert np.array_equal(trig_pair_matrix(kinds, wav, a, b), want)
+    table, index = trig_pair_table(kinds, wav, a, b)
+    assert len(table) == len(set(desc))
+    assert np.array_equal(table[np.ix_(index, index)], want)
 
 
 def _composite(n, edges):
