@@ -15,7 +15,7 @@ import glob
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .spectral import (
     TWO_PI,
     require_oscillatory,
     zero_mode,
+    zero_modes,
 )
 
 
@@ -118,14 +119,19 @@ def semigroup(x, t):
     return StateVector(x.basis, x.coeffs * np.exp(-x.basis.lambdas * t))
 
 
+def _obs_terms(basis, region):
+    """The u1 and u2 terms of the velocity Gramian for :func:`_gramian`, each
+    evaluated when it is reached."""
+    x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)
+    tab = basis.table
+    return ((np.matmul, v * w2, v.T, *tab.x1_trig(comp), *region.x1)
+            for comp in ("u1", "u2") for v in [tab.profiles(x2, comp)])
+
+
 def obs_gramian(basis, region):
     """Velocity observation Gramian M[j, l] = int_omega u_j . u_l dx, built in
     place, bit for bit, with at most two n x n arrays live (:func:`_gramian`)."""
-    x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)
-    tab = basis.table
-    terms = ((np.matmul, v * w2, v.T, *tab.x1_trig(comp), *region.x1)
-             for comp in ("u1", "u2") for v in [tab.profiles(x2, comp)])
-    m = _gramian(terms, 0.5)
+    m = _gramian(_obs_terms(basis, region), 0.5)
     m.setflags(write=False)
     return ModalGramian(basis_id=basis.basis_id, matrix=m)
 
@@ -219,6 +225,8 @@ def _one_blas_thread():
 _STACK_ROWS = 8192
 # rows per panel of the in-place Gramian assembly (temporaries _PANEL_ROWS x n)
 _PANEL_ROWS = 256
+# rows per panel of the streamed Parseval check (temporaries _CHECK_ROWS x n)
+_CHECK_ROWS = 64
 
 
 def stacked_factor_r(r_g, row_weights, col_scales):
@@ -278,20 +286,63 @@ def _gramian(terms, scale, from_zeros=True):
     return total
 
 
+def _trace_terms(basis):
+    """The one term of the boundary-trace Gramian for :func:`_gramian`."""
+    tab, eta = basis.table, basis.table.eta_trace
+    return [(np.multiply, eta[:, None], eta[None, :], *tab.x1_trig("eta"),
+             0.0, TWO_PI)]
+
+
 def trace_gramian(basis):
     """Closed-form boundary-trace Gramian N[j, l] = int_I eta_j eta_l dx1."""
-    tab, eta = basis.table, basis.table.eta_trace
-    return _gramian([(np.multiply, eta[:, None], eta, *tab.x1_trig("eta"),
-                      0.0, TWO_PI)], 0.5, from_zeros=False)
+    return _gramian(_trace_terms(basis), 0.5, from_zeros=False)
+
+
+def _upper_panel(terms, scale, from_zeros, rows):
+    """Rows ``rows`` and columns ``rows.start:`` of ``_gramian(terms, scale,
+    from_zeros)``, the terms' x1 tables already gathered: (op, left, right,
+    table, index).  The same sums, scaled and symmetrized alike, from
+    row-panel GEMMs, whose entries may differ from the full GEMM's in the
+    last bit where its blocking differs."""
+    cols = slice(rows.start, None)
+
+    def part(r, c):
+        total = None
+        for op, left, right, table, index in terms:
+            out = op(left[r], right[:, c])
+            out *= table[np.ix_(index[r], index[c])]
+            total = out if total is None else np.add(total, out, out=total)
+        if from_zeros:
+            total += 0.0
+        return total
+
+    panel = part(rows, cols)
+    panel += part(cols, rows).T
+    panel *= scale
+    return panel
 
 
 def parseval_deviation(basis):
-    """max |M(Omega) + N - I| on the full strip, reduced in N's own array."""
-    m = obs_gramian(basis, FULL_REGION).matrix
-    dev = trace_gramian(basis)
-    dev += m
-    dev[np.diag_indices_from(dev)] -= 1.0
-    return float(np.abs(dev, out=dev).max(initial=0.0))
+    """max |M(Omega) + N - I| on the full strip, reduced over upper-triangular
+    row panels of ``_CHECK_ROWS`` rows (:func:`_upper_panel`) on one BLAS
+    thread, so no n x n array is formed and the result does not depend on
+    the host's BLAS thread count.  Every entry is computed."""
+    def gathered(terms):
+        return [(op, left, right, *trig_pair_table(kinds, waves, a, b))
+                for op, left, right, kinds, waves, a, b in terms]
+
+    m_terms = gathered(_obs_terms(basis, FULL_REGION))
+    n_terms = gathered(_trace_terms(basis))
+    maxima = []
+    with _one_blas_thread():
+        for i in range(0, len(basis), _CHECK_ROWS):
+            rows = slice(i, i + _CHECK_ROWS)
+            dev = _upper_panel(n_terms, 0.5, False, rows)
+            dev += _upper_panel(m_terms, 0.5, True, rows)
+            diag = np.arange(len(dev))
+            dev[diag, diag] -= 1.0
+            maxima.append(np.abs(dev, out=dev).max())
+    return float(np.max(maxima, initial=0.0))
 
 
 def rayleigh_matrix(basis):
@@ -388,6 +439,45 @@ def _mode_from_record(rec):
         raise BasisFormatError(f"malformed mode record: {exc}") from exc
 
 
+def _check_mode_list(modes, cutoff):
+    """Reject a mode list that no build writes, naming the record at fault:
+    a (k, n, phase) given twice; a k >= 1 cosine mode not followed by its
+    sine twin (the same mode apart from the phase), or a sine mode not
+    preceded by its cosine twin; a sector whose n does not run 1, 2, ... with
+    lambda strictly increasing; k = 0 modes other than n = 1, 2, ... up to
+    the cutoff.  A sector's dropped last pair passes."""
+    seen, last = set(), {}
+    for i, mode in enumerate(modes):
+        key = (mode.k, mode.n, mode.phase)
+        if key in seen:
+            raise BasisFormatError(f"modes[{i}]: (k, n, phase) {key!r} "
+                                   "appears twice")
+        seen.add(key)
+        if mode.phase == SINE:
+            if i == 0 or modes[i - 1] != replace(mode, phase=COSINE):
+                raise BasisFormatError(f"modes[{i}]: the sine mode {key!r} is "
+                                       "not preceded by its cosine twin")
+        elif mode.phase == COSINE:
+            if modes[i + 1:i + 2] != [replace(mode, phase=SINE)]:
+                raise BasisFormatError(f"modes[{i}]: the cosine mode {key!r} "
+                                       "is not followed by its sine twin")
+            n_due, above = last.get(mode.k, (1, 0.0))
+            if mode.n != n_due or not mode.lam > above:
+                raise BasisFormatError(
+                    f"modes[{i}]: sector {mode.k} has n {mode.n} at lambda "
+                    f"{mode.lam!r} where n {n_due} above {above!r} is due")
+            last[mode.k] = (mode.n + 1, mode.lam)
+    zeros = [(i, mode) for i, mode in enumerate(modes) if mode.k == 0]
+    want = zero_modes(cutoff)
+    for (i, mode), due in zip(zeros, want):
+        if mode != due:
+            raise BasisFormatError(f"modes[{i}]: k = 0 mode n {mode.n} where "
+                                   f"n {due.n} is due")
+    if len(zeros) < len(want):
+        raise BasisFormatError(f"no k = 0 mode n {len(zeros) + 1}, although "
+                               f"its lambda is below the cutoff {cutoff!r}")
+
+
 def basis_document(basis):
     """Canonical text serialization of a basis (deterministic bytes)."""
     doc = {
@@ -460,6 +550,7 @@ def _basis_from_document(doc):
     if np.any(lams > basis.cutoff):
         raise BasisFormatError(f"lambda {float(lams.max())!r} "
                                f"is above the cutoff {basis.cutoff!r}")
+    _check_mode_list(modes, basis.cutoff)
     return basis
 
 
@@ -467,7 +558,8 @@ def load_basis(path):
     """Reload a basis cache; rejects version mismatch, malformed files, any
     non-finite number, a k, n or k_range that is not a JSON integer, a float
     field that is not a JSON float, a k = 0 mode other than ``zero_mode(n)``,
-    and a k_range, cutoff or lambda order that contradicts the build.  Every
+    a k_range, cutoff or lambda order that contradicts the build, and a mode
+    list that no build writes (:func:`_check_mode_list`).  Every
     rejection is a BasisFormatError (BasisVersionError for the schema) that
     names the file."""
     try:

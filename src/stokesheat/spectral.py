@@ -76,6 +76,10 @@ SCAN_SQRT_FLOOR = 1e-2
 
 _PHASE_RANK = {COSINE: 0, SINE: 1, None: 0}
 
+# modes per chunk of ModeTable.profiles (temporaries a few _PROFILE_MODES x
+# len(x2) arrays beside the result)
+_PROFILE_MODES = 32
+
 
 def degeneracy_tolerance(k):
     """Half-width of the guard interval around lam = k**2."""
@@ -463,6 +467,15 @@ def zero_mode(n):
                      norm_factor=0.0, amplitude=amp, eta_trace=0.0)
 
 
+def zero_modes(lam_max):
+    """The k = 0 modes with lambda <= lam_max: ``zero_mode(n)``, n = 1, 2, ..."""
+    modes, n = [], 1
+    while (n * np.pi) ** 2 <= lam_max:
+        modes.append(zero_mode(n))
+        n += 1
+    return modes
+
+
 class ModeTable:
     """The modes of a basis as read-only arrays, evaluated all at once.
 
@@ -493,38 +506,46 @@ class ModeTable:
         cos_phase = self.sine if component == "u1" else ~self.sine
         return np.where(cos_phase | (self.k == 0), COS, SIN), self.k.astype(float)
 
-    def _stream(self, x2, deriv):
-        """d^deriv phi / dx2^deriv of the k >= 1 rows, normalized."""
-        st = self.k > 0
-        k = self.k[st]
-        rows = _fundamental_rows(k, np.sqrt(self.lam[st] - k.astype(float) * k),
+    def _stream(self, idx, x2, deriv):
+        """d^deriv phi / dx2^deriv of the k >= 1 rows ``idx``, normalized."""
+        k = self.k[idx]
+        rows = _fundamental_rows(k, np.sqrt(self.lam[idx] - k.astype(float) * k),
                                  x2, deriv)
         # the stacked matmul reproduces a single mode's tensordot bit for bit,
-        # einsum does not
-        vals = np.matmul(self.c[st][:, None, :], rows)[:, 0, :]
-        return vals * self.norm_factor[st][:, None]
+        # whatever the batch, einsum does not
+        vals = np.matmul(self.c[idx][:, None, :], rows)[:, 0, :]
+        vals *= self.norm_factor[idx][:, None]
+        return vals
 
     def profiles(self, x2, component, deriv=0):
         """x2 factors of ``component`` for every mode at the points ``x2``,
-        shape (n_modes, len(x2)), normalization and phase sign included."""
+        shape (n_modes, len(x2)), normalization and phase sign included.
+        The k >= 1 rows are evaluated ``_PROFILE_MODES`` modes at a time, so
+        the temporaries stay a fraction of the result."""
+        if component not in ("u1", "u2", "p"):
+            raise InvalidArgumentError(f"unknown component {component!r}")
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
         out = np.zeros((len(self.k), len(x2)))
-        zero, st = self.k == 0, self.k > 0
-        k = self.k[st]
         if component == "u1":
+            zero = self.k == 0
             npi = self.n[zero] * np.pi
             out[zero] = ((self.amplitude[zero] * _powers(npi, deriv))[:, None]
                          * np.sin(npi[:, None] * x2 + deriv * 0.5 * np.pi))
-            sign = np.where(self.sine[st], 1.0, -1.0) / k
-            out[st] = sign[:, None] * self._stream(x2, deriv + 1)
-        elif component == "u2":
-            out[st] = self._stream(x2, deriv)
-        elif component == "p":
-            out[st] = ((self._stream(x2, deriv + 3)
-                        + (self.lam[st] - k * k)[:, None] * self._stream(x2, deriv + 1))
-                       / (k * k)[:, None])
-        else:
-            raise InvalidArgumentError(f"unknown component {component!r}")
+        sector = np.flatnonzero(self.k > 0)
+        for start in range(0, len(sector), _PROFILE_MODES):
+            idx = sector[start:start + _PROFILE_MODES]
+            k = self.k[idx]
+            if component == "u1":
+                vals = self._stream(idx, x2, deriv + 1)
+                vals *= (np.where(self.sine[idx], 1.0, -1.0) / k)[:, None]
+            elif component == "u2":
+                vals = self._stream(idx, x2, deriv)
+            else:
+                vals = self._stream(idx, x2, deriv + 1)
+                vals *= (self.lam[idx] - k * k)[:, None]
+                vals += self._stream(idx, x2, deriv + 3)
+                vals /= (k * k)[:, None]
+            out[idx] = vals
         return out
 
 
@@ -566,11 +587,7 @@ def assemble_basis(lam_max, *, density=16, tol=1e-12, threads=1):
     """
     if not lam_max > 0:
         raise InvalidArgumentError("lam_max must be positive")
-    modes = []
-    n = 1
-    while (n * np.pi) ** 2 <= lam_max:
-        modes.append(zero_mode(n))
-        n += 1
+    modes = zero_modes(lam_max)
     sectors = range(1, sector_limit(lam_max))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -25,6 +25,11 @@ def basis500():
 
 
 @pytest.fixture(scope="session")
+def basis1200():
+    return assemble_basis(1200.0)
+
+
+@pytest.fixture(scope="session")
 def region_half():
     return ObservationRegion(x1=(0.0, np.pi), x2=(0.3, 0.7))
 

@@ -45,16 +45,6 @@ def basis200():
 
 
 @pytest.fixture(scope="module")
-def basis500():
-    return assemble_basis(500.0)
-
-
-@pytest.fixture(scope="module")
-def basis1200():
-    return assemble_basis(1200.0)
-
-
-@pytest.fixture(scope="module")
 def region_default():
     return ObservationRegion(x1=(0.0, np.pi), x2=(0.3, 0.7))
 

@@ -27,7 +27,7 @@ from stokesheat import FULL_REGION, control
 from stokesheat.control import (ControlSegment, _exp_integral,
                                 _window_time_nodes, advance_window,
                                 window_observation)
-from stokesheat.spectral import EigenBasis
+from stokesheat.spectral import TWO_PI, EigenBasis
 
 from mode_reference import basis_state, ref_sampled_velocity_factor
 
@@ -451,41 +451,66 @@ def test_obs_constant_matches_full_stack_within_eps_kappa(basis220,
         assert abs(got - ref) <= 2.0 * np.finfo(float).eps * kappa_r * ref
 
 
+def check_hum_duality(basis, gram, region, lam_cap, t_hor):
+    """HUM duality (Lions, SIAM Review 30, 1988): stage_control's minimal
+    cost of steering z0 to zero in a window T is (D z0)^T G^+ (D z0), with
+    G the stage Gramian and D = diag(exp(-lam T)).  Its maximum over unit
+    z0, lambda_max(D G^+ D), is obs_constant's C_obs(T) when G^+ keeps
+    every eigenvalue, and at most C_obs when the truncation drops some.
+    The eigh path resolves it to about n eps kappa of the kept spectrum,
+    obs_constant to 2 eps kappa(R), kappa(R)^2 = kappa(G); the larger floor
+    holds.  Returns whether every eigenvalue was kept."""
+    idx = basis.low_indices(lam_cap)
+    # column j of G^+ D is the amplitude vector that steers mode j
+    amps = [stage_control(basis_state(basis, j), lam_cap, gram, t_hor,
+                          1e-12)[0].amplitudes for j in idx]
+    hum = np.exp(-basis.lambdas[idx] * t_hor)[:, None] * np.array(amps).T
+    w, v = np.linalg.eigh(0.5 * (hum + hum.T))
+    d = np.linalg.eigvalsh(stage_gramian(basis, lam_cap, gram, t_hor))
+    kept = d > 1e-12 * d[-1]
+    eps = np.finfo(float).eps
+    floor = len(idx) * eps * d[-1] / d[kept].min()
+    if kept.all():
+        floor = max(floor, 2 * eps * math.sqrt(d[-1] / d[0]))
+    z0 = np.zeros(len(basis))
+    z0[idx] = v[:, -1]
+    _, info = stage_control(StateVector(basis, z0), lam_cap, gram, t_hor, 1e-12)
+    assert info.rank_kept == kept.sum()
+    assert abs(info.cost / w[-1] - 1.0) <= floor
+    c_obs = obs_constant(basis, lam_cap, t_hor, region).value
+    if kept.all():
+        assert abs(w[-1] / c_obs - 1.0) <= floor
+    else:
+        assert w[-1] <= c_obs * (1.0 + floor)
+    return bool(kept.all())
+
+
 # the README observe region: caps 25 and 50 keep every stage-Gramian
 # eigenvalue at each horizon, cap 100 drops 4 of 49 at T = 0.1
 @pytest.mark.parametrize("lam_cap", [25.0, 50.0, 100.0])
 def test_hum_duality_control_cost_meets_obs_constant(basis220, lam_cap):
-    # HUM duality (Lions, SIAM Review 30, 1988): stage_control's minimal
-    # cost of steering z0 to zero in a window T is (D z0)^T G^+ (D z0), with
-    # G the stage Gramian and D = diag(exp(-lam T)).  Its maximum over unit
-    # z0, lambda_max(D G^+ D), is obs_constant's C_obs(T) when G^+ keeps
-    # every eigenvalue, and at most C_obs when the truncation drops some.
-    # The eigh path resolves it to about n eps kappa of the kept spectrum,
-    # far above obs_constant's 2 eps kappa(R) floor.
     region = ObservationRegion((0.0, 0.392699081698724), (0.47, 0.53))
     gram = obs_gramian(basis220, region)
-    idx = basis220.low_indices(lam_cap)
-    decay_rates = basis220.lambdas[idx]
     for t_hor in (0.1, 0.4, 0.8):
-        # column j of G^+ D is the amplitude vector that steers mode j
-        amps = [stage_control(basis_state(basis220, j), lam_cap, gram, t_hor,
-                              1e-12)[0].amplitudes for j in idx]
-        hum = np.exp(-decay_rates * t_hor)[:, None] * np.array(amps).T
-        w, v = np.linalg.eigh(0.5 * (hum + hum.T))
-        d = np.linalg.eigvalsh(stage_gramian(basis220, lam_cap, gram, t_hor))
-        kept = d > 1e-12 * d[-1]
-        floor = len(idx) * np.finfo(float).eps * d[-1] / d[kept].min()
-        z0 = np.zeros(len(basis220))
-        z0[idx] = v[:, -1]
-        _, info = stage_control(StateVector(basis220, z0), lam_cap, gram,
-                                t_hor, 1e-12)
-        assert info.rank_kept == kept.sum()
-        assert abs(info.cost / w[-1] - 1.0) <= floor
-        c_obs = obs_constant(basis220, lam_cap, t_hor, region).value
-        if kept.all():
-            assert abs(w[-1] / c_obs - 1.0) <= floor
-        else:
-            assert w[-1] <= c_obs * (1.0 + floor)
+        check_hum_duality(basis220, gram, region, lam_cap, t_hor)
+
+
+def intervals(lo, hi, min_width):
+    """Subintervals of [lo, hi] at least ``min_width`` wide."""
+    def interval(start, frac):
+        return start, min(hi, start + min_width + frac * (hi - min_width - start))
+
+    return st.tuples(st.floats(lo, hi - min_width), st.floats(0.0, 1.0)).map(
+        lambda p: interval(*p))
+
+
+@settings(max_examples=25, deadline=None)
+@given(x1=intervals(0.0, TWO_PI, 0.1), x2=intervals(0.05, 0.95, 0.1),
+       lam_cap=st.sampled_from([25.0, 50.0]), t_hor=st.floats(0.1, 0.8))
+def test_hum_duality_holds_over_regions(basis120, x1, x2, lam_cap, t_hor):
+    region = ObservationRegion(x1, x2)
+    check_hum_duality(basis120, obs_gramian(basis120, region), region,
+                      lam_cap, t_hor)
 
 
 def test_stage_control_with_eig_rejects_cutoff_above_basis(basis60,

@@ -246,11 +246,12 @@ def test_gramians_match_broadcast_pair_integrals(monkeypatch, basis120,
     assert [m.tobytes() for m in panelled] == [m.tobytes() for m in ref]
 
 
-def test_parseval_deviation_holds_at_most_three_gramian_arrays():
-    # obs_gramian, trace_gramian and the reduction of M + N - I together
-    # stay within three n x n arrays above entry; numpy reports its buffers
-    # to tracemalloc
-    basis = assemble_basis(1200.0)
+def test_parseval_deviation_streams_in_row_panels():
+    # the check forms no n x n array: its row panels, the four velocity
+    # profile arrays and one profiles() call's temporaries stay below three
+    # quarters of one Gramian above entry; numpy reports its buffers to
+    # tracemalloc
+    basis = assemble_basis(3000.0)
     basis.table     # built outside the measurement
     n = len(basis)
     tracemalloc.start()
@@ -261,7 +262,12 @@ def test_parseval_deviation_holds_at_most_three_gramian_arrays():
     finally:
         tracemalloc.stop()
     assert dev <= 1e-8
-    assert peak - entry <= 3 * n * n * 8
+    assert peak - entry <= 0.75 * n * n * 8
+
+
+def dense_parseval_deviation(basis):
+    m = obs_gramian(basis, FULL_REGION).matrix + trace_gramian(basis)
+    return np.abs(m - np.eye(len(basis))).max()
 
 
 def test_parseval_deviation_matches_dense_expression(basis120):
@@ -270,6 +276,22 @@ def test_parseval_deviation_matches_dense_expression(basis120):
     assert hilbert.parseval_deviation(basis120) == want
     empty = EigenBasis(cutoff=3.0, modes=(), metadata={})
     assert hilbert.parseval_deviation(empty) == 0.0
+
+
+def test_parseval_deviation_matches_dense_expression_at_1200(basis1200):
+    # a row-panel GEMM may round an entry differently from the full one
+    want = dense_parseval_deviation(basis1200)
+    got = hilbert.parseval_deviation(basis1200)
+    assert abs(got - want) <= 8 * np.finfo(float).eps
+
+
+def test_parseval_deviation_in_7_row_panels(monkeypatch, basis120):
+    # 57 modes: eight panels, the last of one row, each with its diagonal
+    # block and its mirror
+    monkeypatch.setattr(hilbert, "_CHECK_ROWS", 7)
+    want = dense_parseval_deviation(basis120)
+    got = hilbert.parseval_deviation(basis120)
+    assert abs(got - want) <= 8 * np.finfo(float).eps
 
 
 def test_apply_B_full_region_identity(basis60):
@@ -601,6 +623,47 @@ def test_load_rejects_k0_record_other_than_zero_mode(tmp_path, basis60, edit):
 
     with pytest.raises(BasisFormatError, match=r"is not zero_mode\(\d+\)"):
         load_basis(_edited_cache(tmp_path, basis60, apply))
+
+
+def _delete(doc, **fields):
+    doc["modes"].remove(_record_with(doc, **fields))
+
+
+def _renumber_pair(doc):
+    for rec in doc["modes"]:
+        if rec["k"] == 1 and rec["n"] == 2:
+            rec["n"] = 7
+
+
+# mode lists that no build writes, each made of records that load one by
+# one; the first three once loaded as 27, 29 and 28 modes of the Λ = 60
+# cache, whose k = 0 modes are n = 1 and 2
+MODE_LIST_EDITS = {
+    "a sine record deleted": lambda doc: _delete(doc, phase="sine"),
+    "record 3 duplicated": lambda doc: doc["modes"].insert(
+        4, dict(doc["modes"][3])),
+    "a k = 1 record's n set to 7": lambda doc: _record_with(doc, k=1).update(
+        n=7),
+    "a cosine record deleted": lambda doc: _delete(doc, phase="cosine"),
+    "a pair's n set to 7": _renumber_pair,
+    "the k = 0 mode n = 1 deleted": lambda doc: _delete(doc, k=0, n=1),
+    "the k = 0 mode n = 2 deleted": lambda doc: _delete(doc, k=0, n=2),
+}
+
+
+@pytest.mark.parametrize("edit", list(MODE_LIST_EDITS))
+def test_load_rejects_a_mode_list_no_build_writes(tmp_path, basis60, edit,
+                                                  capsys):
+    from stokesheat import cli
+
+    cache = _edited_cache(tmp_path, basis60, MODE_LIST_EDITS[edit])
+    with pytest.raises(BasisFormatError, match="modes\\[\\d+\\]|k = 0 mode"):
+        load_basis(cache)
+    capsys.readouterr()
+    assert cli.main(["eigens", "--lambda-max", "60", "--cache", str(cache),
+                     "--out-dir", str(tmp_path / "eigens")]) == 0
+    assert "rebuilding" in capsys.readouterr().err
+    assert load_basis(cache).basis_id == basis60.basis_id
 
 
 @pytest.mark.parametrize("k_range", [7, 9, 20])

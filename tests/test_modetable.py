@@ -10,6 +10,7 @@ relative.
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,22 @@ def test_table_is_read_only_and_backs_lambdas(basis60):
     assert np.array_equal(waves, [wave for _, wave in ref])
     with pytest.raises(InvalidArgumentError):
         tab.profiles([0.5], "eta")
+
+
+@pytest.mark.parametrize("component", ["u1", "u2"])
+def test_profiles_temporaries_stay_below_the_result(basis1200, component):
+    # 589 modes in chunks: the result plus at most its own size again
+    # above entry
+    x2, _ = gauss_legendre(GAUSS_NODES_X2, 0.0, 1.0)
+    basis1200.table     # built outside the measurement
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        got = basis1200.table.profiles(x2, component)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 2 * got.nbytes
 
 
 # ---------------------------------------------------------------------------
