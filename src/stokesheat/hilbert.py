@@ -36,11 +36,13 @@ from .quadrature import (
 from .spectral import (
     COSINE,
     OSCILLATORY,
+    RESIDUAL_GATE,
     SCHEMA_VERSION,
     SINE,
     EigenBasis,
     EigenMode,
     TWO_PI,
+    _boundary_matrices,
     require_oscillatory,
     zero_mode,
     zero_modes,
@@ -478,6 +480,30 @@ def _check_mode_list(modes, cutoff):
                                f"its lambda is below the cutoff {cutoff!r}")
 
 
+def _check_residuals(modes):
+    """Reject a k >= 1 record whose (lambda, c) is not an eigenpair, naming
+    it: its boundary residual max|M(lambda) c| / max|c|, with M the
+    row-normalized boundary matrix ``build_mode`` takes c from, above
+    ``RESIDUAL_GATE``.  One batched boundary-matrix build for all records."""
+    rows = [i for i, mode in enumerate(modes) if mode.k >= 1]
+    if not rows:
+        return
+    c = np.array([modes[i].c for i in rows])
+    mats = _boundary_matrices(np.array([modes[i].k for i in rows]),
+                              [modes[i].lam for i in rows])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        res = (np.abs(np.einsum("nij,nj->ni", mats, c)).max(axis=1)
+               / np.abs(c).max(axis=1))
+    bad = np.nonzero(~(res <= RESIDUAL_GATE))[0]
+    if len(bad):
+        i = rows[bad[0]]
+        mode = modes[i]
+        raise BasisFormatError(
+            f"modes[{i}]: boundary residual {res[bad[0]]:.3e} of (k, n, "
+            f"phase) {(mode.k, mode.n, mode.phase)!r} at lambda {mode.lam!r} "
+            f"exceeds the gate {RESIDUAL_GATE!r}")
+
+
 def basis_document(basis):
     """Canonical text serialization of a basis (deterministic bytes)."""
     doc = {
@@ -551,6 +577,7 @@ def _basis_from_document(doc):
         raise BasisFormatError(f"lambda {float(lams.max())!r} "
                                f"is above the cutoff {basis.cutoff!r}")
     _check_mode_list(modes, basis.cutoff)
+    _check_residuals(modes)
     return basis
 
 
@@ -558,8 +585,10 @@ def load_basis(path):
     """Reload a basis cache; rejects version mismatch, malformed files, any
     non-finite number, a k, n or k_range that is not a JSON integer, a float
     field that is not a JSON float, a k = 0 mode other than ``zero_mode(n)``,
-    a k_range, cutoff or lambda order that contradicts the build, and a mode
-    list that no build writes (:func:`_check_mode_list`).  Every
+    a k_range, cutoff or lambda order that contradicts the build, a mode
+    list that no build writes (:func:`_check_mode_list`), and a k >= 1 mode
+    whose lambda and c fail the boundary conditions
+    (:func:`_check_residuals`).  Every
     rejection is a BasisFormatError (BasisVersionError for the schema) that
     names the file."""
     try:

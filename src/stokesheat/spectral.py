@@ -243,17 +243,20 @@ def _fundamental_rows(k, beta, x, deriv):
 
 
 def _boundary_matrices(k, lams):
-    """Stack of ``_boundary_matrix(k, lam)`` over an array of lams, (N,4,4).
+    """Stack of ``_boundary_matrix(k, lam)`` over an array of lams, (N,4,4);
+    ``k`` is one integer wavenumber or an integer array, one per lam.
 
     Every lam must lie above k**2, where the sector's spectrum lies; the
     entries repeat the scalar builder's arithmetic elementwise, so the scan
     sees the same determinants bit for bit.
     """
     lams = np.asarray(lams, dtype=float)
-    beta = np.sqrt(lams - float(k) * float(k))
+    k = np.asarray(k)
+    kf = k.astype(float)
+    beta = np.sqrt(lams - kf * kf)
 
     def fund(x, deriv):
-        return _fundamental_rows([k], beta, x, deriv)[:, :, 0]
+        return _fundamental_rows(np.atleast_1d(k), beta, x, deriv)[:, :, 0]
 
     mats = np.empty((len(lams), 4, 4))
     mats[:, 0] = fund(0.0, 0)

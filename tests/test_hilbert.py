@@ -635,6 +635,13 @@ def _renumber_pair(doc):
             rec["n"] = 7
 
 
+def _edit_twins(doc, edit, k=3, n=2):
+    """Apply ``edit`` to both twin records of (k, n), so the pair stays one."""
+    for rec in doc["modes"]:
+        if rec["k"] == k and rec["n"] == n:
+            edit(rec)
+
+
 # mode lists that no build writes, each made of records that load one by
 # one; the first three once loaded as 27, 29 and 28 modes of the Λ = 60
 # cache, whose k = 0 modes are n = 1 and 2
@@ -650,20 +657,46 @@ MODE_LIST_EDITS = {
     "the k = 0 mode n = 2 deleted": lambda doc: _delete(doc, k=0, n=2),
 }
 
+# twin pairs whose (lambda, c) is no eigenpair, in a mode list a build could
+# write (the λ edit keeps the λ order); each once loaded as 28 modes.  The λ
+# edit reads a boundary residual of 4.9e-6; one of 1e-7 (4.9e-7) passes
+RESIDUAL_EDITS = {
+    "the λ of (k, n) = (3, 2) scaled by 1 + 1e-6": lambda doc: _edit_twins(
+        doc, lambda rec: rec.update({"lambda": rec["lambda"] * (1 + 1e-6)})),
+    "c[2] of (k, n) = (3, 2) scaled by 1 + 1e-3": lambda doc: _edit_twins(
+        doc, lambda rec: rec["c"].__setitem__(2, rec["c"][2] * (1 + 1e-3))),
+    "the c of (k, n) = (3, 2) set to zero": lambda doc: _edit_twins(
+        doc, lambda rec: rec.update(c=[0.0] * 4)),
+}
 
-@pytest.mark.parametrize("edit", list(MODE_LIST_EDITS))
-def test_load_rejects_a_mode_list_no_build_writes(tmp_path, basis60, edit,
-                                                  capsys):
+
+def _check_cli_rebuilds(tmp_path, basis60, cache, capsys):
     from stokesheat import cli
 
-    cache = _edited_cache(tmp_path, basis60, MODE_LIST_EDITS[edit])
-    with pytest.raises(BasisFormatError, match="modes\\[\\d+\\]|k = 0 mode"):
-        load_basis(cache)
     capsys.readouterr()
     assert cli.main(["eigens", "--lambda-max", "60", "--cache", str(cache),
                      "--out-dir", str(tmp_path / "eigens")]) == 0
     assert "rebuilding" in capsys.readouterr().err
     assert load_basis(cache).basis_id == basis60.basis_id
+
+
+@pytest.mark.parametrize("edit", list(MODE_LIST_EDITS))
+def test_load_rejects_a_mode_list_no_build_writes(tmp_path, basis60, edit,
+                                                  capsys):
+    cache = _edited_cache(tmp_path, basis60, MODE_LIST_EDITS[edit])
+    with pytest.raises(BasisFormatError, match="modes\\[\\d+\\]|k = 0 mode"):
+        load_basis(cache)
+    _check_cli_rebuilds(tmp_path, basis60, cache, capsys)
+
+
+@pytest.mark.parametrize("edit", list(RESIDUAL_EDITS))
+def test_load_rejects_a_mode_off_its_boundary_conditions(tmp_path, basis60,
+                                                         edit, capsys):
+    cache = _edited_cache(tmp_path, basis60, RESIDUAL_EDITS[edit])
+    with pytest.raises(BasisFormatError,
+                       match=r"modes\[17\]: boundary residual .* \(3, 2, 'cosine'\)"):
+        load_basis(cache)
+    _check_cli_rebuilds(tmp_path, basis60, cache, capsys)
 
 
 @pytest.mark.parametrize("k_range", [7, 9, 20])

@@ -183,6 +183,18 @@ def test_batched_boundary_determinants_match_scalar(point):
     assert np.abs(batched - scalar).max() <= 1e-14
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(branch_points(), min_size=1, max_size=4))
+def test_boundary_matrices_over_mixed_sectors_match_each_sector(points):
+    # the cache loader's residual check takes one wavenumber per lam
+    ks = np.concatenate([np.full(len(lams), k) for k, lams in points])
+    mixed = spectral._boundary_matrices(ks, np.concatenate(
+        [lams for _, lams in points]))
+    each = np.concatenate([spectral._boundary_matrices(k, lams)
+                           for k, lams in points])
+    assert mixed.tobytes() == each.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(branch_points())
 def test_boundary_matrix_is_bit_equal_to_reference(point):
