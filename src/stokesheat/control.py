@@ -84,53 +84,34 @@ def make_schedule(t_horizon, gamma, epsilon, lambda_cap):
                       lambda_cap=lambda_cap, stages=tuple(stages))
 
 
-def rate_sums(lams, idx):
-    """Table of rate sums lam_j + lam_l, every mode j against the modes l in
-    ``idx``: shape (len(lams), len(idx)).  It depends on the cutoff alone,
-    so :func:`run_lr` builds it once per distinct cutoff and hands it to
-    the window kernels."""
-    return np.add.outer(lams, lams[idx])
+def _exp_integral(lams_out, lams_in, w):
+    """(1 - exp(-(a + b) w)) / (a + b) over the outer sum of rates.
 
-
-def _checked_sums(lams, idx, sums):
-    """``sums``, or the table :func:`rate_sums` builds when it is None."""
-    if sums is None:
-        return rate_sums(lams, idx)
-    if sums.shape != (len(lams), len(idx)):
-        raise InvalidArgumentError(
-            f"rate-sum table of shape {sums.shape} does not pair "
-            f"{len(lams)} modes with {len(idx)} controlled modes")
-    return sums
-
-
-def _exp_integral(sums, w):
-    """(1 - exp(-s w)) / s over a table of rate sums s, in one new array.
-
-    The passes of -expm1(-s w) / s run in place over that array, the same
-    operations in the same order, so the bits are the plain expression's."""
-    out = np.multiply(sums, -w)
+    The passes of -expm1(-s w) / s run in place over one new array, the
+    same operations in the same order, so the bits are the plain
+    expression's; the sums s are dropped on return."""
+    s = np.add.outer(lams_out, lams_in)
+    out = np.multiply(s, -w)
     np.expm1(out, out=out)
     np.negative(out, out=out)
-    return np.divide(out, sums, out=out)
+    return np.divide(out, s, out=out)
 
 
-def stage_gramian(basis, lam_cap, gramian, window, sums=None):
+def stage_gramian(basis, lam_cap, gramian, window):
     """Window controllability Gramian on the modes with lambda <= lam_cap.
 
     G[j, l] = M[j, l] (1 - exp(-(lam_j + lam_l) w)) / (lam_j + lam_l) is the
     exact time integral of the windowed observation of the semigroup; M is
-    ``gramian``, the observation Gramian of the region it carries.  ``sums``
-    is the cutoff's :func:`rate_sums` table, built here when not given.
+    ``gramian``, the observation Gramian of the region it carries.
     """
     if window <= 0:
         raise InvalidArgumentError("window length must be positive")
     check_gramian(basis, gramian)
     idx = basis.low_indices(lam_cap)
-    lams = basis.lambdas
-    # the table's rows idx hold the same sums; no name keeps them alive
-    g = _exp_integral(np.add.outer(lams[idx], lams[idx]) if sums is None
-                      else _checked_sums(lams, idx, sums)[idx], window)
-    g = gramian.matrix[np.ix_(idx, idx)] * g
+    lams = basis.lambdas[idx]
+    # the exp factor first, then the gather multiplied in: two k x k arrays
+    g = _exp_integral(lams, lams, window)
+    g *= gramian.matrix[np.ix_(idx, idx)]
     return 0.5 * (g + g.T)
 
 
@@ -189,24 +170,24 @@ def stage_control(state, lam_cap, gramian, window, reg_threshold,
     return ControlSegment(window=window, indices=idx, amplitudes=c), info
 
 
-def advance_window(state, segment, gramian, sums=None):
+def advance_window(state, segment, gramian):
     """Exact closed-form propagation across a control window.
 
     Every basis mode receives forcing through the observation Gramian
-    columns of the active low set; nothing is time-stepped.  ``sums`` is
-    the cutoff's :func:`rate_sums` table, built here when not given.
+    columns of the active low set; nothing is time-stepped.
     """
     basis = state.basis
     check_gramian(basis, gramian)
     lams = basis.lambdas
     w = segment.window
     idx = segment.indices
-    # the product the GEMV reads is C-ordered, as with the F-ordered column
-    # gather m[:, idx] (numpy wrote that product into the C-ordered factor,
-    # or picked C order for the mixed layouts); a C-ordered gather makes the
-    # elementwise pass contiguous
-    forced = (np.take(gramian.matrix, idx, axis=1)
-              * _exp_integral(_checked_sums(lams, idx, sums), w)) @ segment.amplitudes
+    # the exp factor is built before the gather, so two n x k arrays are
+    # live, and takes the product in place.  The GEMV rounds by its input's
+    # layout, and the product must stay C-ordered, as numpy lays out
+    # m[:, idx] * factor; a C-ordered gather keeps the pass contiguous
+    cols = _exp_integral(lams, lams[idx], w)
+    cols *= np.take(gramian.matrix, idx, axis=1)
+    forced = cols @ segment.amplitudes
     return StateVector(basis, state.coeffs * np.exp(-lams * w) - forced)
 
 
@@ -224,14 +205,13 @@ def _decays(lams, t):
     return np.exp(out, out=out)
 
 
-def window_observation(state, segment, gramian, sums=None):
+def window_observation(state, segment, gramian):
     """Integral of |B* z(t)|^2 over a control window by a graded Gauss rule.
 
     The controlled trajectory inside the window is a finite combination of
     exponentials, evaluated in closed form at the nodes of a composite Gauss
     rule graded toward both window ends to resolve the fastest decay rate
-    present.  ``sums`` is the cutoff's :func:`rate_sums` table, built here
-    when not given.
+    present.
     """
     basis = state.basis
     m = check_gramian(basis, gramian).matrix
@@ -240,10 +220,10 @@ def window_observation(state, segment, gramian, sums=None):
     t, wt = _window_time_nodes(w, float(lams.max()) if len(lams) else 1.0)
     idx = segment.indices
     lam_in = lams[idx]
-    # this expression, not the table, sets gamma's memory order, which the
-    # GEMV and GEMM below read: the trajectory cancels by up to 14 orders of
-    # magnitude, so a GEMV that rounds differently moves the result
-    gamma = (m[:, idx] * segment.amplitudes) / _checked_sums(lams, idx, sums)
+    # this expression sets gamma's memory order, which the GEMV and GEMM
+    # below read: the trajectory cancels by up to 14 orders of magnitude, so
+    # a GEMV that rounds differently moves the result
+    gamma = (m[:, idx] * segment.amplitudes) / np.add.outer(lams, lam_in)
     alpha = state.coeffs + gamma @ np.exp(-lam_in * w)
     # each n-row array is dropped once read, so at most two are live
     forced = gamma @ _decays(lam_in, w - t)
@@ -360,9 +340,7 @@ def run_lr(z0, schedule, region, reg_threshold):
     fits the smallest constant making the dyadic telescoping inequalities
     hold along the realized trajectory.  A schedule whose largest cutoff the
     basis cannot serve is rejected before any work; the stage Gramians are
-    built on ``obs_gramian(z0.basis, region)``, assembled here.  The window
-    kernels share one :func:`rate_sums` table per distinct cutoff, built
-    at its first stage; only one cutoff's table is held at a time.
+    built on ``obs_gramian(z0.basis, region)``, assembled here.
     """
     basis = z0.basis
     basis.low_indices(max(stage.lam_cap for stage in schedule.stages))
@@ -370,23 +348,18 @@ def run_lr(z0, schedule, region, reg_threshold):
     state = z0
     initial_norm = float(np.linalg.norm(z0.coeffs))
     eig_cache = {}
-    sums_cap = sums = None
     records = []
     for stage in schedule.stages:
         pre = float(np.linalg.norm(state.coeffs))
         at_window = semigroup(state, stage.passive)
-        if stage.lam_cap != sums_cap:
-            sums = None     # one cutoff's table live at a time
-            sums = rate_sums(basis.lambdas, basis.low_indices(stage.lam_cap))
-            sums_cap = stage.lam_cap
         if stage.lam_cap not in eig_cache:
-            g = stage_gramian(basis, stage.lam_cap, gramian, stage.window, sums)
+            g = stage_gramian(basis, stage.lam_cap, gramian, stage.window)
             eig_cache[stage.lam_cap] = np.linalg.eigh(g)
         segment, info = stage_control(
             at_window, stage.lam_cap, gramian, stage.window, reg_threshold,
             gram_eig=eig_cache[stage.lam_cap])
-        obs = window_observation(at_window, segment, gramian, sums)
-        state = advance_window(at_window, segment, gramian, sums)
+        obs = window_observation(at_window, segment, gramian)
+        state = advance_window(at_window, segment, gramian)
         post = float(np.linalg.norm(state.coeffs))
         low = float(np.linalg.norm(state.coeffs[segment.indices]))
         records.append(StageRecord(

@@ -482,9 +482,12 @@ def _check_mode_list(modes, cutoff):
 
 def _check_residuals(modes):
     """Reject a k >= 1 record whose (lambda, c) is not an eigenpair, naming
-    it: its boundary residual max|M(lambda) c| / max|c|, with M the
-    row-normalized boundary matrix ``build_mode`` takes c from, above
-    ``RESIDUAL_GATE``.  One batched boundary-matrix build for all records."""
+    it.  Its boundary residual |M(lambda) c| / (|c| sigma_max(M(lambda))),
+    with M the row-normalized boundary matrix ``build_mode`` takes c from,
+    must stay within ``RESIDUAL_GATE``.  That is the ratio the build gates:
+    for the c it writes, the smallest singular direction, the residual is
+    sigma_min / sigma_max up to rounding.  One batched boundary-matrix build
+    for all records."""
     rows = [i for i, mode in enumerate(modes) if mode.k >= 1]
     if not rows:
         return
@@ -492,8 +495,9 @@ def _check_residuals(modes):
     mats = _boundary_matrices(np.array([modes[i].k for i in rows]),
                               [modes[i].lam for i in rows])
     with np.errstate(invalid="ignore", divide="ignore"):
-        res = (np.abs(np.einsum("nij,nj->ni", mats, c)).max(axis=1)
-               / np.abs(c).max(axis=1))
+        res = (np.linalg.norm(np.einsum("nij,nj->ni", mats, c), axis=1)
+               / (np.linalg.norm(c, axis=1)
+                  * np.linalg.norm(mats, 2, axis=(1, 2))))
     bad = np.nonzero(~(res <= RESIDUAL_GATE))[0]
     if len(bad):
         i = rows[bad[0]]

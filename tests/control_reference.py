@@ -1,15 +1,12 @@
 """Reference window kernels of the control loop, for the tests.
 
 ``control.stage_gramian``, ``control.advance_window`` and
-``control.window_observation`` take the rate sums lam_j + lam_l from one
-table per cutoff and run the exp(-s w) chain in place over one buffer.  The
-functions here are the plain expressions those kernels replaced: each
-builds its own rate sums with ``np.add.outer`` and every intermediate as a
-fresh array.  The package kernels keep the same operations in the same
-order, and the memory order numpy gives each array that feeds a GEMM or
-GEMV, so their results must equal these bit for bit.  The kernels take no
-rate-sum table here; a test that patches them into ``stokesheat.control``
-drops the table ``run_lr`` passes (:func:`ignoring_the_table`).
+``control.window_observation`` run their exp chains in place over one
+buffer.  The functions here are the plain expressions those kernels
+replaced, with every intermediate a fresh array.  The package kernels keep
+the same operations in the same order, and the memory order numpy gives
+each array that feeds a GEMM or GEMV, so their results must equal these bit
+for bit.
 """
 
 import numpy as np
@@ -55,16 +52,6 @@ def ref_window_observation(state, segment, gramian):
             - gamma @ np.exp(-np.outer(lam_in, w - t)))
     q = np.einsum("lt,lt->t", traj, m @ traj)
     return float(np.dot(wt, q))
-
-
-def ignoring_the_table(ref):
-    """``ref`` with the signature of its package kernel: the trailing
-    rate-sum table is accepted and not used."""
-    arity = ref.__code__.co_argcount
-
-    def kernel(*args, sums=None):
-        return ref(*args[:arity])
-    return kernel
 
 
 REFERENCE_KERNELS = {

@@ -28,7 +28,7 @@ from stokesheat import (
 )
 from stokesheat import FULL_REGION, control, hilbert
 from stokesheat.control import (ControlSegment, _window_time_nodes,
-                                advance_window, rate_sums, window_observation)
+                                advance_window, window_observation)
 from stokesheat.spectral import TWO_PI, EigenBasis
 
 from control_reference import (ref_advance_window, ref_exp_integral,
@@ -276,9 +276,8 @@ def test_run_lr_segments_carry_the_stage_window(basis120, region_half, rng,
     for name, segments in seen.items():
         real = getattr(control, name)
         monkeypatch.setattr(control, name,
-                            lambda state, seg, gram, *args, _real=real,
-                            _segs=segments:
-                            _segs.append(seg) or _real(state, seg, gram, *args))
+                            lambda state, seg, gram, _real=real, _segs=segments:
+                            _segs.append(seg) or _real(state, seg, gram))
     # epsilon 0.4: stage start + passive + window is not exactly start + tau
     sched = make_schedule(1.0, 1.5, 0.4, 100.0)
     run_lr(unit_mix(basis120, rng, 20), sched, region_half, 1e-12)
@@ -328,8 +327,8 @@ README_REGION = ObservationRegion(x1=(0.0, math.pi), x2=(0.3, 0.7))
 @pytest.fixture(scope="module")
 def readme_run(basis1200):
     """The README control run on the Lambda = 1200 basis, with every window
-    kernel input it makes: (state at the window, segment, rate-sum table)
-    per stage.  Its cutoffs hold 11, 88 and 506 modes."""
+    kernel input it makes: (state at the window, segment) per stage.  Its
+    cutoffs hold 11, 88 and 506 modes."""
     sched = make_schedule(1.0, 1.5, 0.5, 1024.0)
     a = np.zeros(len(basis1200))
     a[:30] = np.random.default_rng(0).standard_normal(30)
@@ -337,9 +336,9 @@ def readme_run(basis1200):
     inputs = []
     real = control.window_observation
 
-    def spy(state, seg, gram, sums=None):
-        inputs.append((state, seg, sums))
-        return real(state, seg, gram, sums)
+    def spy(state, seg, gram):
+        inputs.append((state, seg))
+        return real(state, seg, gram)
 
     with mock.patch.object(control, "window_observation", spy):
         run_lr(z0, sched, README_REGION, 1e-12)
@@ -355,27 +354,23 @@ def test_window_kernels_equal_the_reference_on_the_readme_run(basis1200,
                                                               readme_run,
                                                               one_thread):
     # the in-place kernels keep the plain expressions' operations and the
-    # memory order of every GEMM and GEMV input, with or without the table;
-    # a GEMV over a gamma of the other order can round alike at one BLAS
-    # thread count and not at another
+    # memory order of every GEMM and GEMV input; a GEMV over a gamma of the
+    # other order can round alike at one BLAS thread count and not at another
     sched, gram, inputs = readme_run
-    assert [len(seg.indices) for _, seg, _ in inputs] == [11, 88] + [506] * 11
+    assert [len(seg.indices) for _, seg in inputs] == [11, 88] + [506] * 11
     with hilbert._one_blas_thread() if one_thread else contextlib.nullcontext():
         check_against_reference(basis1200, sched, gram, inputs)
 
 
 def check_against_reference(basis1200, sched, gram, inputs):
-    for stage, (state, seg, sums) in zip(sched.stages, inputs):
-        assert sums.shape == (len(basis1200), len(seg.indices))
-        want_z = ref_advance_window(state, seg, gram).coeffs
-        want_obs = ref_window_observation(state, seg, gram)
-        want_g = ref_stage_gramian(basis1200, stage.lam_cap, gram, stage.window)
-        for table in (sums, None):
-            assert same_bits(advance_window(state, seg, gram, table).coeffs,
-                             want_z), stage.index
-            assert window_observation(state, seg, gram, table) == want_obs
-            assert same_bits(stage_gramian(basis1200, stage.lam_cap, gram,
-                                           stage.window, table), want_g)
+    for stage, (state, seg) in zip(sched.stages, inputs):
+        assert same_bits(advance_window(state, seg, gram).coeffs,
+                         ref_advance_window(state, seg, gram).coeffs), stage.index
+        assert (window_observation(state, seg, gram)
+                == ref_window_observation(state, seg, gram)), stage.index
+        assert same_bits(
+            stage_gramian(basis1200, stage.lam_cap, gram, stage.window),
+            ref_stage_gramian(basis1200, stage.lam_cap, gram, stage.window))
 
 
 @pytest.mark.parametrize("n_idx", [0, 40])
@@ -387,30 +382,13 @@ def test_window_kernels_equal_the_reference_off_the_prefix(basis120, gram120,
     seg = ControlSegment(window=0.05, indices=idx,
                          amplitudes=1e3 * rng.standard_normal(n_idx))
     state = unit_mix(basis120, rng, len(basis120))
-    want_z = ref_advance_window(state, seg, gram120).coeffs
-    want_obs = ref_window_observation(state, seg, gram120)
-    for table in (rate_sums(basis120.lambdas, idx), None):
-        assert same_bits(advance_window(state, seg, gram120, table).coeffs,
-                         want_z)
-        assert window_observation(state, seg, gram120, table) == want_obs
+    assert same_bits(advance_window(state, seg, gram120).coeffs,
+                     ref_advance_window(state, seg, gram120).coeffs)
+    assert (window_observation(state, seg, gram120)
+            == ref_window_observation(state, seg, gram120))
     low = float(basis120.lambdas[0]) / 2
     assert same_bits(stage_gramian(basis120, low, gram120, 0.05),
                      ref_stage_gramian(basis120, low, gram120, 0.05))
-
-
-def test_window_kernels_reject_a_table_of_another_shape(basis60, region_half,
-                                                        rng):
-    gram = obs_gramian(basis60, region_half)
-    idx = basis60.low_indices(30.0)
-    wrong = rate_sums(basis60.lambdas, idx[:-1])
-    seg = ControlSegment(window=0.1, indices=idx,
-                         amplitudes=rng.standard_normal(len(idx)))
-    state = unit_mix(basis60, rng, 5)
-    for call in (lambda: advance_window(state, seg, gram, wrong),
-                 lambda: window_observation(state, seg, gram, wrong),
-                 lambda: stage_gramian(basis60, 30.0, gram, 0.1, wrong)):
-        with pytest.raises(InvalidArgumentError, match="rate-sum table"):
-            call()
 
 
 def peak_above_entry(fn, *args):
@@ -425,19 +403,17 @@ def peak_above_entry(fn, *args):
 
 
 def test_window_kernels_hold_few_temporaries(basis1200, readme_run):
-    # stage 2 of the README run: cap 1024, n = 589, k = 506; the cutoff's
-    # table is built before entry, as run_lr builds it once per cutoff
+    # stage 2 of the README run: cap 1024, n = 589, k = 506
     sched, gram, inputs = readme_run
-    state, seg, sums = inputs[2]
-    n, k = sums.shape
+    state, seg = inputs[2]
+    n, k = len(basis1200), len(seg.indices)
     stage = sched.stages[2]
     assert (n, k) == (589, 506)
-    assert (peak_above_entry(advance_window, state, seg, gram, sums)
-            <= 2.1 * n * k * 8)
-    assert (peak_above_entry(window_observation, state, seg, gram, sums)
+    assert peak_above_entry(advance_window, state, seg, gram) <= 2.1 * n * k * 8
+    assert (peak_above_entry(window_observation, state, seg, gram)
             <= 2.7 * n * k * 8)
     assert (peak_above_entry(stage_gramian, basis1200, stage.lam_cap, gram,
-                             stage.window, sums) <= 3 * k * k * 8)
+                             stage.window) <= 3 * k * k * 8)
 
 
 def test_run_lr_single_mode_stage_trace(basis120, region_half):

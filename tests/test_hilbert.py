@@ -27,7 +27,7 @@ from stokesheat import (
     trace_gramian,
     zero_mode,
 )
-from stokesheat import control, hilbert, specineq
+from stokesheat import control, hilbert, spectral, specineq
 from stokesheat.quadrature import trig_pair_integral
 from stokesheat.spectral import EigenBasis
 
@@ -659,7 +659,7 @@ MODE_LIST_EDITS = {
 
 # twin pairs whose (lambda, c) is no eigenpair, in a mode list a build could
 # write (the λ edit keeps the λ order); each once loaded as 28 modes.  The λ
-# edit reads a boundary residual of 4.9e-6; one of 1e-7 (4.9e-7) passes
+# edit reads a boundary residual of 1.9e-6; one of 1e-7 (1.9e-7) passes
 RESIDUAL_EDITS = {
     "the λ of (k, n) = (3, 2) scaled by 1 + 1e-6": lambda doc: _edit_twins(
         doc, lambda rec: rec.update({"lambda": rec["lambda"] * (1 + 1e-6)})),
@@ -697,6 +697,24 @@ def test_load_rejects_a_mode_off_its_boundary_conditions(tmp_path, basis60,
                        match=r"modes\[17\]: boundary residual .* \(3, 2, 'cosine'\)"):
         load_basis(cache)
     _check_cli_rebuilds(tmp_path, basis60, cache, capsys)
+
+
+def test_load_passes_every_mode_its_build_gate_passes(tmp_path, basis1200,
+                                                     monkeypatch):
+    # the loader's residual is the build's sigma_min / sigma_max up to
+    # rounding, so a cache loads under the tightest gate its build passes
+    mats = spectral._boundary_matrices(
+        np.array([m.k for m in basis1200.modes if m.k >= 1]),
+        [m.lam for m in basis1200.modes if m.k >= 1])
+    sing = np.linalg.svd(mats, compute_uv=False)
+    tightest = float((sing[:, 3] / sing[:, 0]).max())
+    path = tmp_path / "b.json"
+    save_basis(basis1200, path)
+    monkeypatch.setattr(hilbert, "RESIDUAL_GATE", 1.01 * tightest)
+    assert load_basis(path).basis_id == basis1200.basis_id
+    monkeypatch.setattr(hilbert, "RESIDUAL_GATE", 0.99 * tightest)
+    with pytest.raises(BasisFormatError, match="boundary residual"):
+        load_basis(path)
 
 
 @pytest.mark.parametrize("k_range", [7, 9, 20])
