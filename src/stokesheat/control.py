@@ -205,6 +205,19 @@ def _decays(lams, t):
     return np.exp(out, out=out)
 
 
+def _window_gamma(m, lams, idx, amplitudes):
+    """gamma[j, l] = M[j, idx[l]] c_l / (lam_j + lam_idx[l]), in place in one
+    F-ordered array at every size.  The GEMV and GEMM over gamma in
+    :func:`window_observation` round by its memory order, and the trajectory
+    cancels by up to 14 orders of magnitude, so the order is fixed here
+    rather than left to numpy's temporary elision, which gives the plain
+    expression F order only from 256 KiB up."""
+    gamma = np.take(m.T, idx, axis=0).T
+    gamma *= amplitudes
+    gamma /= np.add.outer(lams[idx], lams).T
+    return gamma
+
+
 def window_observation(state, segment, gramian):
     """Integral of |B* z(t)|^2 over a control window by a graded Gauss rule.
 
@@ -220,10 +233,7 @@ def window_observation(state, segment, gramian):
     t, wt = _window_time_nodes(w, float(lams.max()) if len(lams) else 1.0)
     idx = segment.indices
     lam_in = lams[idx]
-    # this expression sets gamma's memory order, which the GEMV and GEMM
-    # below read: the trajectory cancels by up to 14 orders of magnitude, so
-    # a GEMV that rounds differently moves the result
-    gamma = (m[:, idx] * segment.amplitudes) / np.add.outer(lams, lam_in)
+    gamma = _window_gamma(m, lams, idx, segment.amplitudes)
     alpha = state.coeffs + gamma @ np.exp(-lam_in * w)
     # each n-row array is dropped once read, so at most two are live
     forced = gamma @ _decays(lam_in, w - t)

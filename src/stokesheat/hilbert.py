@@ -14,8 +14,9 @@ import functools
 import glob
 import json
 import math
+import operator
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -222,9 +223,10 @@ def _one_blas_thread():
         set_(before)
 
 
-# rows per incremental-QR chunk of stacked_factor_r (R included), which
-# bounds its working memory to O(_STACK_ROWS * n)
-_STACK_ROWS = 8192
+# rows per incremental-QR chunk of stacked_factor_r (R included; at least R
+# and one block), which bounds its working memory to about
+# 2 * _STACK_ROWS * n * 8 B: the chunk and the copy np.linalg.qr takes of it
+_STACK_ROWS = 1024
 # rows per panel of the in-place Gramian assembly (temporaries _PANEL_ROWS x n)
 _PANEL_ROWS = 256
 # rows per panel of the streamed Parseval check (temporaries _CHECK_ROWS x n)
@@ -249,20 +251,36 @@ def stacked_factor_r(r_g, row_weights, col_scales):
 
     The blocks are streamed through an incremental QR, R <- qr([R; chunk])
     (TSQR), in chunks of about ``_STACK_ROWS`` rows, R included, so the
-    working memory is O(rows * n) whatever the number of blocks.  R has the
-    shape of the uncompressed stack's factor, min(n_s * m, n) x n, with zero
-    rows below the compressed stack's own (all of R when A is zero).
+    working memory is O(rows * n) whatever the number of blocks.  Each
+    chunk is written once, into one buffer: R on top, the blocks below it.
+    R has the shape of the uncompressed stack's factor, min(n_s * m, n) x n,
+    with zero rows below the compressed stack's own (all of R when A is
+    zero).
     """
     m, n = r_g.shape
     factor = _eps_rank_rows(row_weights[:, None] * col_scales)
     per = max(1, (_STACK_ROWS - n) // m)
-    r = np.empty((0, n))
+    buf = np.empty((n + min(per, len(factor)) * m, n))
+    top = 0
     for start in range(0, len(factor), per):
-        chunk = r_g * factor[start:start + per, None, :]
-        r = np.linalg.qr(np.vstack((r, chunk.reshape(-1, n))), mode="r")
+        blocks = factor[start:start + per]
+        end = top + len(blocks) * m
+        np.multiply(r_g, blocks[:, None, :],
+                    out=buf[top:end].reshape(len(blocks), m, n))
+        top = min(end, n)
+        buf[:top] = np.linalg.qr(buf[:end], mode="r")
     out = np.zeros((min(len(row_weights) * m, n), n))
-    out[:len(r)] = r
+    out[:top] = buf[:top]
     return out
+
+
+def _gather(table, rows, cols):
+    """table[np.ix_(rows, cols)], bit for bit, by two np.take calls, the
+    shorter index first, so the one intermediate holds that many lines of
+    the table; fancy indexing by np.ix_ takes about three times as long."""
+    if len(rows) <= len(cols):
+        return np.take(np.take(table, rows, axis=0), cols, axis=1)
+    return np.take(np.take(table, cols, axis=1), rows, axis=0)
 
 
 def _gramian(terms, scale, from_zeros=True):
@@ -275,7 +293,7 @@ def _gramian(terms, scale, from_zeros=True):
         out = op(left, right, buf)
         table, index = trig_pair_table(kinds, waves, a, b)
         for i in range(0, len(out), _PANEL_ROWS):
-            out[i:i + _PANEL_ROWS] *= table[np.ix_(index[i:i + _PANEL_ROWS], index)]
+            out[i:i + _PANEL_ROWS] *= _gather(table, index[i:i + _PANEL_ROWS], index)
         total = out if total is None else np.add(total, out, out=total)
         buf = None if out is total else out
     if from_zeros:
@@ -312,7 +330,7 @@ def _upper_panel(terms, scale, from_zeros, rows):
         total = None
         for op, left, right, table, index in terms:
             out = op(left[r], right[:, c])
-            out *= table[np.ix_(index[r], index[c])]
+            out *= _gather(table, index[r], index[c])
             total = out if total is None else np.add(total, out, out=total)
         if from_zeros:
             total += 0.0
@@ -441,6 +459,16 @@ def _mode_from_record(rec):
         raise BasisFormatError(f"malformed mode record: {exc}") from exc
 
 
+# every EigenMode field but the phase: a cosine/sine twin pair shares these
+_twin_fields = operator.attrgetter(
+    *(f.name for f in fields(EigenMode) if f.name != "phase"))
+
+
+def _is_twin(mode, other, phase):
+    """Whether ``other`` is ``mode`` apart from its phase, which is ``phase``."""
+    return other.phase == phase and _twin_fields(other) == _twin_fields(mode)
+
+
 def _check_mode_list(modes, cutoff):
     """Reject a mode list that no build writes, naming the record at fault:
     a (k, n, phase) given twice; a k >= 1 cosine mode not followed by its
@@ -456,11 +484,11 @@ def _check_mode_list(modes, cutoff):
                                    "appears twice")
         seen.add(key)
         if mode.phase == SINE:
-            if i == 0 or modes[i - 1] != replace(mode, phase=COSINE):
+            if i == 0 or not _is_twin(mode, modes[i - 1], COSINE):
                 raise BasisFormatError(f"modes[{i}]: the sine mode {key!r} is "
                                        "not preceded by its cosine twin")
         elif mode.phase == COSINE:
-            if modes[i + 1:i + 2] != [replace(mode, phase=SINE)]:
+            if i + 1 == len(modes) or not _is_twin(mode, modes[i + 1], SINE):
                 raise BasisFormatError(f"modes[{i}]: the cosine mode {key!r} "
                                        "is not followed by its sine twin")
             n_due, above = last.get(mode.k, (1, 0.0))

@@ -4,9 +4,10 @@
 ``control.window_observation`` run their exp chains in place over one
 buffer.  The functions here are the plain expressions those kernels
 replaced, with every intermediate a fresh array.  The package kernels keep
-the same operations in the same order, and the memory order numpy gives
-each array that feeds a GEMM or GEMV, so their results must equal these bit
-for bit.
+the same operations in the same order, and the memory order of each array
+that feeds a GEMM or GEMV (gamma of ``window_observation`` is F-ordered at
+every size, whatever order numpy's temporary elision would give it), so
+their results must equal these bit for bit.
 """
 
 import numpy as np
@@ -46,7 +47,9 @@ def ref_window_observation(state, segment, gramian):
     w = segment.window
     t, wt = _window_time_nodes(w, float(lams.max()) if len(lams) else 1.0)
     lam_in = lams[segment.indices]
-    gamma = (m[:, segment.indices] * segment.amplitudes) / np.add.outer(lams, lam_in)
+    # F order at every size, as the kernel builds it
+    gamma = np.asfortranarray(
+        (m[:, segment.indices] * segment.amplitudes) / np.add.outer(lams, lam_in))
     alpha = state.coeffs + gamma @ np.exp(-lam_in * w)
     traj = (np.exp(-np.outer(lams, t)) * alpha[:, None]
             - gamma @ np.exp(-np.outer(lam_in, w - t)))

@@ -391,6 +391,43 @@ def test_window_kernels_equal_the_reference_off_the_prefix(basis120, gram120,
                      ref_stage_gramian(basis120, low, gram120, 0.05))
 
 
+@contextlib.contextmanager
+def blas_threads(count):
+    """numpy's OpenBLAS at ``count`` threads for the body."""
+    get, set_ = hilbert._openblas_threads_api()
+    entry = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(entry)
+
+
+@pytest.mark.skipif(hilbert._openblas_threads_api() is None,
+                    reason="numpy is not linked to a bundled OpenBLAS with "
+                           "the thread API")
+@pytest.mark.parametrize("k", [55, 56])
+def test_window_gamma_is_f_ordered_at_every_size(basis1200, readme_run, k):
+    # n = 589: the plain expression's n x k product is below numpy's
+    # 256 KiB temporary-elision threshold at k = 55 and above it at 56, so
+    # elision would give it C order on one side and F order on the other
+    _, gram, _ = readme_run
+    rng = np.random.default_rng(k)
+    idx = np.arange(k)
+    amps = 1e3 * rng.standard_normal(k)
+    lams = basis1200.lambdas
+    gamma = control._window_gamma(gram.matrix, lams, idx, amps)
+    assert gamma.flags.f_contiguous
+    plain = (gram.matrix[:, idx] * amps) / np.add.outer(lams, lams[idx])
+    assert np.array_equal(gamma, plain)
+    seg = ControlSegment(window=0.05, indices=idx, amplitudes=amps)
+    state = unit_mix(basis1200, rng, 30)
+    for count in (1, 2):
+        with blas_threads(count):
+            assert (window_observation(state, seg, gram)
+                    == ref_window_observation(state, seg, gram)), count
+
+
 def peak_above_entry(fn, *args):
     tracemalloc.start()
     try:
@@ -544,6 +581,29 @@ def test_obs_constant_matches_full_stack_within_eps_kappa(basis220,
             patch.setattr(control, "stacked_factor_r", full_stack_r)
             patch.setattr(control, "sampled_velocity_factor",
                           ref_sampled_velocity_factor)
+            ref = obs_constant(basis220, 200.0, t_hor, region).value
+        svals = np.linalg.svd(factors[-1], compute_uv=False)
+        kappa_r = svals[0] / svals[-1]
+        assert abs(got - ref) <= 2.0 * np.finfo(float).eps * kappa_r * ref
+
+
+def test_obs_constant_chunked_matches_one_chunk_within_eps_kappa(basis220,
+                                                                 monkeypatch):
+    # the README observe run: the default chunks against one chunk per stack
+    # (the 1,728 to 2,592 rows of these stacks fit 8192); the incremental QR
+    # moves C_obs only by Householder backward error, inside 2 eps kappa(R)
+    region = ObservationRegion((0.0, 0.392699081698724), (0.47, 0.53))
+    factors = []
+
+    def recording(*args, _real=control.stacked_factor_r):
+        factors.append(_real(*args))
+        return factors[-1]
+
+    monkeypatch.setattr(control, "stacked_factor_r", recording)
+    for t_hor in (0.1, 0.2, 0.4, 0.8):
+        got = obs_constant(basis220, 200.0, t_hor, region).value
+        with monkeypatch.context() as patch:
+            patch.setattr(hilbert, "_STACK_ROWS", 8192)
             ref = obs_constant(basis220, 200.0, t_hor, region).value
         svals = np.linalg.svd(factors[-1], compute_uv=False)
         kappa_r = svals[0] / svals[-1]

@@ -14,7 +14,7 @@ from stokesheat import (
     spec_ineq_report,
     trace_gramian,
 )
-from stokesheat import specineq
+from stokesheat import hilbert, specineq
 from stokesheat.errors import KernelQuadratureError
 from stokesheat.specineq import mineig_weighted_gramian, weighted_gramian
 from stokesheat.quadrature import gauss_legendre
@@ -185,6 +185,52 @@ def test_mineig_memory_does_not_grow_with_the_stack(basis500, region_small,
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def test_stacked_factor_r_holds_about_two_chunks(basis500, region_small,
+                                                 kernel, monkeypatch):
+    # the README Lambda = 400 factor: its stack (12 blocks of 194 rows)
+    # streams through more than two chunks, each written once into one
+    # buffer, which np.linalg.qr copies: about two chunks of _STACK_ROWS x n
+    # above entry, where the stack held three times took 6.7 chunks of 1024
+    calls = []
+
+    def recording(*args, _real=specineq.stacked_factor_r):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(specineq, "stacked_factor_r", recording)
+    mineig_weighted_gramian(basis500, 400.0, region_small, kernel)
+    r_g, weights, scales = calls[0]
+    n = r_g.shape[1]
+    blocks = hilbert._eps_rank_rows(weights[:, None] * scales)
+    assert n == 194
+    assert len(blocks) * len(r_g) > 2 * hilbert._STACK_ROWS
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        hilbert.stacked_factor_r(r_g, weights, scales)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 2.5 * hilbert._STACK_ROWS * n * 8
+
+
+def test_mineig_chunked_matches_one_chunk_within_eps_kappa(basis500,
+                                                           region_small,
+                                                           kernel,
+                                                           monkeypatch):
+    # README cutoffs: the default chunks against one chunk per stack, which
+    # 8192 rows hold at every cutoff; the incremental QR moves each value
+    # only by Householder backward error, inside 2 eps kappa(F)
+    eps = np.finfo(float).eps
+    for lam_cap in (25.0, 50.0, 100.0, 200.0, 400.0):
+        got = mineig_weighted_gramian(basis500, lam_cap, region_small, kernel)
+        with monkeypatch.context() as patch:
+            patch.setattr(hilbert, "_STACK_ROWS", 8192)
+            ref = mineig_weighted_gramian(basis500, lam_cap, region_small,
+                                          kernel)
+        assert abs(got - ref) <= 2.0 * eps * ref.kappa_f * ref, lam_cap
 
 
 def test_mineig_refines_quadrature_for_the_cosh_growth(monkeypatch, basis60,
