@@ -37,7 +37,6 @@ from .quadrature import (
 from .spectral import (
     COSINE,
     OSCILLATORY,
-    RESIDUAL_GATE,
     SCHEMA_VERSION,
     SINE,
     EigenBasis,
@@ -123,17 +122,16 @@ def semigroup(x, t):
 
 
 def _obs_terms(basis, region):
-    """The u1 and u2 terms of the velocity Gramian for :func:`_gramian`, each
-    evaluated when it is reached."""
+    """The u1 and u2 terms of the velocity Gramian for :func:`_gramian`."""
     x2, w2 = gauss_legendre(GAUSS_NODES_X2, *region.x2)
     tab = basis.table
-    return ((np.matmul, v * w2, v.T, *tab.x1_trig(comp), *region.x1)
-            for comp in ("u1", "u2") for v in [tab.profiles(x2, comp)])
+    return [(np.matmul, v * w2, v.T, *tab.x1_trig(comp), *region.x1)
+            for comp in ("u1", "u2") for v in [tab.profiles(x2, comp)]]
 
 
 def obs_gramian(basis, region):
-    """Velocity observation Gramian M[j, l] = int_omega u_j . u_l dx, built in
-    place, bit for bit, with at most two n x n arrays live (:func:`_gramian`)."""
+    """Velocity observation Gramian M[j, l] = int_omega u_j . u_l dx, one
+    n x n array filled from 64-row panels (:func:`_gramian`)."""
     m = _gramian(_obs_terms(basis, region), 0.5)
     m.setflags(write=False)
     return ModalGramian(basis_id=basis.basis_id, matrix=m)
@@ -223,14 +221,13 @@ def _one_blas_thread():
         set_(before)
 
 
-# rows per incremental-QR chunk of stacked_factor_r (R included; at least R
-# and one block), which bounds its working memory to about
-# 2 * _STACK_ROWS * n * 8 B: the chunk and the copy np.linalg.qr takes of it
+# rows per incremental-QR chunk of stacked_factor_r (R included), 4 n for
+# n > 256 columns, and its working memory about two chunks: the chunk and the
+# copy np.linalg.qr takes of it
 _STACK_ROWS = 1024
-# rows per panel of the in-place Gramian assembly (temporaries _PANEL_ROWS x n)
-_PANEL_ROWS = 256
-# rows per panel of the streamed Parseval check (temporaries _CHECK_ROWS x n)
-_CHECK_ROWS = 64
+# rows per upper-triangular panel of every modal Gramian and of the Parseval
+# check (temporaries _PANEL_ROWS x n)
+_PANEL_ROWS = 64
 
 
 def stacked_factor_r(r_g, row_weights, col_scales):
@@ -250,16 +247,17 @@ def stacked_factor_r(r_g, row_weights, col_scales):
     The stack becomes the k blocks r_g diag((S_k V_k^T D)[p]), k * m rows.
 
     The blocks are streamed through an incremental QR, R <- qr([R; chunk])
-    (TSQR), in chunks of about ``_STACK_ROWS`` rows, R included, so the
-    working memory is O(rows * n) whatever the number of blocks.  Each
-    chunk is written once, into one buffer: R on top, the blocks below it.
+    (TSQR), in chunks of about max(``_STACK_ROWS``, 4 n) rows, R included, so
+    the working memory is O(rows * n) whatever the number of blocks, and a
+    chunk holds at least three blocks of m <= n rows.  Each chunk is written
+    once, into one buffer: R on top, the blocks below it.
     R has the shape of the uncompressed stack's factor, min(n_s * m, n) x n,
     with zero rows below the compressed stack's own (all of R when A is
     zero).
     """
     m, n = r_g.shape
     factor = _eps_rank_rows(row_weights[:, None] * col_scales)
-    per = max(1, (_STACK_ROWS - n) // m)
+    per = max(1, (max(_STACK_ROWS, 4 * n) - n) // m)
     buf = np.empty((n + min(per, len(factor)) * m, n))
     top = 0
     for start in range(0, len(factor), per):
@@ -283,26 +281,46 @@ def _gather(table, rows, cols):
     return np.take(np.take(table, cols, axis=1), rows, axis=0)
 
 
-def _gramian(terms, scale, from_zeros=True):
-    """scale * (S + S^T), S = sum of op(left, right) o [int_a^b T_i T_j] over
-    the terms (op, left, right, kinds, waves, a, b), in two n x n arrays.  Row
-    panels of S + S^T read only unwritten entries (numpy copies the diagonal
-    block it overlaps); ``from_zeros`` makes -0.0 sums +0.0 as np.zeros + S does."""
-    total = buf = None
-    for op, left, right, kinds, waves, a, b in terms:
-        out = op(left, right, buf)
-        table, index = trig_pair_table(kinds, waves, a, b)
-        for i in range(0, len(out), _PANEL_ROWS):
-            out[i:i + _PANEL_ROWS] *= _gather(table, index[i:i + _PANEL_ROWS], index)
-        total = out if total is None else np.add(total, out, out=total)
-        buf = None if out is total else out
-    if from_zeros:
-        total += 0.0
-    for i in range(0, len(total), _PANEL_ROWS):
+def _upper_panels(terms, scale, from_zeros):
+    """(rows, P) per panel of ``_PANEL_ROWS`` rows, P = rows ``rows`` and
+    columns rows.start: of scale * (S + S^T), S = sum over the terms (op,
+    left, right, kinds, waves, a, b) of op(left, right) o [int_a^b T_i T_j].
+    Its row-panel GEMMs may round an entry differently from the full GEMM in
+    the last bit; ``from_zeros`` makes -0.0 sums +0.0 as np.zeros + S does."""
+    terms = [(op, left, right, *trig_pair_table(kinds, waves, a, b))
+             for op, left, right, kinds, waves, a, b in terms]
+
+    def part(r, c):
+        total = None
+        for op, left, right, table, index in terms:
+            out = op(left[r], right[:, c])
+            out *= _gather(table, index[r], index[c])
+            total = out if total is None else np.add(total, out, out=total)
+        if from_zeros:
+            total += 0.0
+        return total
+
+    def panel(rows, cols):
+        upper, mirror = part(rows, cols), part(cols, rows).T
+        # the diagonal block from one GEMM, so that it is exactly symmetric
+        mirror[:, :len(upper)] = upper[:, :len(upper)].T
+        upper += mirror
+        upper *= scale
+        return upper
+
+    for i in range(0, len(terms[0][4]), _PANEL_ROWS):
         rows = slice(i, i + _PANEL_ROWS)
-        total[rows, i:] += total[i:, rows].T
-        total[rows, i:] *= scale
-        total[i:, rows] = total[rows, i:].T
+        # panel()'s temporaries are freed before the generator suspends
+        yield rows, panel(rows, slice(i, None))
+
+
+def _gramian(terms, scale, from_zeros=True):
+    """scale * (S + S^T) (:func:`_upper_panels`) in one n x n array, each
+    upper panel written together with its transpose."""
+    total = np.empty((len(terms[0][1]),) * 2)
+    for rows, panel in _upper_panels(terms, scale, from_zeros):
+        total[rows, rows.start:] = panel
+        total[rows.start:, rows] = panel.T
     return total
 
 
@@ -318,50 +336,24 @@ def trace_gramian(basis):
     return _gramian(_trace_terms(basis), 0.5, from_zeros=False)
 
 
-def _upper_panel(terms, scale, from_zeros, rows):
-    """Rows ``rows`` and columns ``rows.start:`` of ``_gramian(terms, scale,
-    from_zeros)``, the terms' x1 tables already gathered: (op, left, right,
-    table, index).  The same sums, scaled and symmetrized alike, from
-    row-panel GEMMs, whose entries may differ from the full GEMM's in the
-    last bit where its blocking differs."""
-    cols = slice(rows.start, None)
-
-    def part(r, c):
-        total = None
-        for op, left, right, table, index in terms:
-            out = op(left[r], right[:, c])
-            out *= _gather(table, index[r], index[c])
-            total = out if total is None else np.add(total, out, out=total)
-        if from_zeros:
-            total += 0.0
-        return total
-
-    panel = part(rows, cols)
-    panel += part(cols, rows).T
-    panel *= scale
-    return panel
-
-
 def parseval_deviation(basis):
-    """max |M(Omega) + N - I| on the full strip, reduced over upper-triangular
-    row panels of ``_CHECK_ROWS`` rows (:func:`_upper_panel`) on one BLAS
-    thread, so no n x n array is formed and the result does not depend on
-    the host's BLAS thread count.  Every entry is computed."""
-    def gathered(terms):
-        return [(op, left, right, *trig_pair_table(kinds, waves, a, b))
-                for op, left, right, kinds, waves, a, b in terms]
+    """max |M(Omega) + N - I| on the full strip, reduced over the upper
+    panels the two Gramians are built from (:func:`_upper_panels`) on one
+    BLAS thread, so no n x n array is formed and the result does not depend
+    on the host's BLAS thread count.  Every entry is computed."""
+    def deviation(n_panel, m_panel):
+        (_, dev), (_, m) = n_panel, m_panel
+        dev += m
+        diag = np.arange(len(dev))
+        dev[diag, diag] -= 1.0
+        return np.abs(dev, out=dev).max()
 
-    m_terms = gathered(_obs_terms(basis, FULL_REGION))
-    n_terms = gathered(_trace_terms(basis))
-    maxima = []
     with _one_blas_thread():
-        for i in range(0, len(basis), _CHECK_ROWS):
-            rows = slice(i, i + _CHECK_ROWS)
-            dev = _upper_panel(n_terms, 0.5, False, rows)
-            dev += _upper_panel(m_terms, 0.5, True, rows)
-            diag = np.arange(len(dev))
-            dev[diag, diag] -= 1.0
-            maxima.append(np.abs(dev, out=dev).max())
+        # map drops each pair of panels before it builds the next pair
+        maxima = list(map(deviation,
+                          _upper_panels(_trace_terms(basis), 0.5, False),
+                          _upper_panels(_obs_terms(basis, FULL_REGION), 0.5,
+                                        True)))
     return float(np.max(maxima, initial=0.0))
 
 
@@ -383,15 +375,15 @@ def rayleigh_matrix(basis):
             dkinds = np.where(kinds == SIN, COS, SIN)
             dsign = np.where(kinds == SIN, 1.0, -1.0) * waves
             if comp == "eta":
-                deta = tab.eta_trace * dsign
-                yield np.multiply, deta[:, None], deta, dkinds, waves, 0.0, TWO_PI
+                deta = (tab.eta_trace * dsign)[None, :]
+                yield np.multiply, deta.T, deta, dkinds, waves, 0.0, TWO_PI
                 continue
             v0s = tab.profiles(x2, comp) * dsign[:, None]
             v1 = tab.profiles(x2, comp, deriv=1)
             yield np.matmul, v0s * w2, v0s.T, dkinds, waves, 0.0, TWO_PI  # d/dx1
             yield np.matmul, v1 * w2, v1.T, kinds, waves, 0.0, TWO_PI     # d/dx2
 
-    return _gramian(terms(), -0.5)
+    return _gramian(list(terms()), -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +500,20 @@ def _check_mode_list(modes, cutoff):
                                f"its lambda is below the cutoff {cutoff!r}")
 
 
+# largest boundary residual a cache record may read: 400 times a clean build's
+# at Lambda = 6000 (2.4e-11); the build's gate of 1e-6 passes a lambda edited
+# by up to about 5e-7 relative
+LOAD_RESIDUAL_GATE = 1e-8
+
+
 def _check_residuals(modes):
     """Reject a k >= 1 record whose (lambda, c) is not an eigenpair, naming
     it.  Its boundary residual |M(lambda) c| / (|c| sigma_max(M(lambda))),
     with M the row-normalized boundary matrix ``build_mode`` takes c from,
-    must stay within ``RESIDUAL_GATE``.  That is the ratio the build gates:
-    for the c it writes, the smallest singular direction, the residual is
-    sigma_min / sigma_max up to rounding.  One batched boundary-matrix build
-    for all records."""
+    must stay within ``LOAD_RESIDUAL_GATE``.  That is the ratio the build
+    gates: for the c it writes, the smallest singular direction, the
+    residual is sigma_min / sigma_max up to rounding.  One batched
+    boundary-matrix build for all records."""
     rows = [i for i, mode in enumerate(modes) if mode.k >= 1]
     if not rows:
         return
@@ -526,14 +524,14 @@ def _check_residuals(modes):
         res = (np.linalg.norm(np.einsum("nij,nj->ni", mats, c), axis=1)
                / (np.linalg.norm(c, axis=1)
                   * np.linalg.norm(mats, 2, axis=(1, 2))))
-    bad = np.nonzero(~(res <= RESIDUAL_GATE))[0]
+    bad = np.nonzero(~(res <= LOAD_RESIDUAL_GATE))[0]
     if len(bad):
         i = rows[bad[0]]
         mode = modes[i]
         raise BasisFormatError(
             f"modes[{i}]: boundary residual {res[bad[0]]:.3e} of (k, n, "
             f"phase) {(mode.k, mode.n, mode.phase)!r} at lambda {mode.lam!r} "
-            f"exceeds the gate {RESIDUAL_GATE!r}")
+            f"exceeds the gate {LOAD_RESIDUAL_GATE!r}")
 
 
 def basis_document(basis):

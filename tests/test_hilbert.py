@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stokesheat import (
     BasisFormatError,
@@ -28,7 +28,7 @@ from stokesheat import (
     zero_mode,
 )
 from stokesheat import control, hilbert, spectral, specineq
-from stokesheat.quadrature import trig_pair_integral
+from stokesheat.quadrature import trig_pair_integral, trig_pair_table
 from stokesheat.spectral import EigenBasis
 
 from modal_ops import apply_B, inner, project
@@ -226,24 +226,93 @@ def test_rayleigh_matrix(basis120):
 
 def test_gramians_match_broadcast_pair_integrals(monkeypatch, basis120,
                                                 region_half):
-    def gramians():
-        return (obs_gramian(basis120, region_half).matrix,
-                trace_gramian(basis120), rayleigh_matrix(basis120))
+    def gramians(rows):
+        with monkeypatch.context() as patch:
+            patch.setattr(hilbert, "_PANEL_ROWS", rows)
+            return (obs_gramian(basis120, region_half).matrix,
+                    trace_gramian(basis120), rayleigh_matrix(basis120))
 
     def broadcast(kinds, waves, a, b):
         table = trig_pair_integral(kinds[:, None], waves[:, None],
                                    kinds[None, :], waves[None, :], a, b)
         return table, np.arange(len(kinds))
 
-    monkeypatch.setattr(hilbert, "trig_pair_table", broadcast)
-    ref = gramians()
-    monkeypatch.undo()
-    fast = gramians()
-    # 57 modes in 7-row panels: many gathered panels and symmetrized blocks
-    monkeypatch.setattr(hilbert, "_PANEL_ROWS", 7)
-    panelled = gramians()
-    assert [m.tobytes() for m in fast] == [m.tobytes() for m in ref]
-    assert [m.tobytes() for m in panelled] == [m.tobytes() for m in ref]
+    # 57 modes in one panel, and in 7-row panels: many gathered panels and
+    # mirrored blocks
+    for rows in (hilbert._PANEL_ROWS, 7):
+        with monkeypatch.context() as patch:
+            patch.setattr(hilbert, "trig_pair_table", broadcast)
+            ref = gramians(rows)
+        fast = gramians(rows)
+        assert [m.tobytes() for m in fast] == [m.tobytes() for m in ref]
+
+
+def full_gemm_gramian(terms, scale, from_zeros):
+    """The full-GEMM spelling of ``hilbert._gramian``: S summed over the
+    terms from whole products, then scale * (S + S^T); and max |S|."""
+    s = None
+    for op, left, right, kinds, waves, a, b in terms:
+        table, index = trig_pair_table(kinds, waves, a, b)
+        term = op(left, right) * table[np.ix_(index, index)]
+        s = term if s is None else s + term
+    if from_zeros:
+        s = s + 0.0
+    return scale * (s + s.T), np.abs(s).max()
+
+
+def rayleigh_terms(basis):
+    """The terms ``rayleigh_matrix`` hands to ``hilbert._gramian``."""
+    seen = []
+    with mock.patch.object(hilbert, "_gramian",
+                           lambda terms, scale: seen.extend(terms)):
+        rayleigh_matrix(basis)
+    return seen
+
+
+GRAMIAN_TERMS = {
+    "obs": lambda basis: hilbert._obs_terms(
+        basis, ObservationRegion((0.0, np.pi), (0.3, 0.7))),
+    "trace": hilbert._trace_terms,
+    "rayleigh": rayleigh_terms,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.sampled_from([1, 7, 64, 101, 102, 107]),
+       from_zeros=st.booleans(),
+       scale=st.sampled_from([0.5, -0.5]),
+       kind=st.sampled_from(list(GRAMIAN_TERMS)))
+def test_gramian_panels_match_full_gemm(basis220, rows, from_zeros, scale,
+                                        kind):
+    # panel heights 1, 7, 64, n - 1, n and n + 5: the panel GEMMs round an
+    # entry within n eps max |S| of the whole products, and not at all when
+    # one panel covers every row
+    n = len(basis220)
+    assert n == 102
+    terms = GRAMIAN_TERMS[kind](basis220)
+    with mock.patch.object(hilbert, "_PANEL_ROWS", rows):
+        got = hilbert._gramian(terms, scale, from_zeros)
+    ref, s_max = full_gemm_gramian(terms, scale, from_zeros)
+    assert np.array_equal(got, got.T)
+    assert np.abs(got - ref).max() <= n * np.finfo(float).eps * s_max
+    if rows >= n:
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_obs_gramian_peak_memory(basis1200):
+    # one n x n result plus 64-row panels: 1.98 n^2 8 B above entry at
+    # Lambda = 1200, where a second n x n array took 2.72
+    region = ObservationRegion((0.0, 0.5 * np.pi), (0.4, 0.6))
+    basis1200.table     # built outside the measurement
+    n = len(basis1200)
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        obs_gramian(basis1200, region)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 2.2 * n * n * 8
 
 
 def test_parseval_deviation_streams_in_row_panels():
@@ -266,32 +335,31 @@ def test_parseval_deviation_streams_in_row_panels():
 
 
 def dense_parseval_deviation(basis):
-    m = obs_gramian(basis, FULL_REGION).matrix + trace_gramian(basis)
+    # the Gramians' panel GEMMs on one BLAS thread, as the check runs them
+    with hilbert._one_blas_thread():
+        m = obs_gramian(basis, FULL_REGION).matrix + trace_gramian(basis)
     return np.abs(m - np.eye(len(basis))).max()
 
 
 def test_parseval_deviation_matches_dense_expression(basis120):
-    m = obs_gramian(basis120, FULL_REGION).matrix + trace_gramian(basis120)
-    want = np.abs(m - np.eye(len(basis120))).max()
-    assert hilbert.parseval_deviation(basis120) == want
+    assert hilbert.parseval_deviation(basis120) == dense_parseval_deviation(
+        basis120)
     empty = EigenBasis(cutoff=3.0, modes=(), metadata={})
     assert hilbert.parseval_deviation(empty) == 0.0
 
 
 def test_parseval_deviation_matches_dense_expression_at_1200(basis1200):
-    # a row-panel GEMM may round an entry differently from the full one
+    # the same panels as obs_gramian and trace_gramian: bit for bit
     want = dense_parseval_deviation(basis1200)
-    got = hilbert.parseval_deviation(basis1200)
-    assert abs(got - want) <= 8 * np.finfo(float).eps
+    assert hilbert.parseval_deviation(basis1200) == want
 
 
 def test_parseval_deviation_in_7_row_panels(monkeypatch, basis120):
     # 57 modes: eight panels, the last of one row, each with its diagonal
     # block and its mirror
-    monkeypatch.setattr(hilbert, "_CHECK_ROWS", 7)
+    monkeypatch.setattr(hilbert, "_PANEL_ROWS", 7)
     want = dense_parseval_deviation(basis120)
-    got = hilbert.parseval_deviation(basis120)
-    assert abs(got - want) <= 8 * np.finfo(float).eps
+    assert hilbert.parseval_deviation(basis120) == want
 
 
 def test_apply_B_full_region_identity(basis60):
@@ -658,11 +726,14 @@ MODE_LIST_EDITS = {
 }
 
 # twin pairs whose (lambda, c) is no eigenpair, in a mode list a build could
-# write (the λ edit keeps the λ order); each once loaded as 28 modes.  The λ
-# edit reads a boundary residual of 1.9e-6; one of 1e-7 (1.9e-7) passes
+# write (the λ edits keep the λ order); each once loaded as 28 modes.  The λ
+# edits read boundary residuals of 1.9e-6 and 1.9e-7; the second passes the
+# build's gate of 1e-6
 RESIDUAL_EDITS = {
     "the λ of (k, n) = (3, 2) scaled by 1 + 1e-6": lambda doc: _edit_twins(
         doc, lambda rec: rec.update({"lambda": rec["lambda"] * (1 + 1e-6)})),
+    "the λ of (k, n) = (3, 2) scaled by 1 + 1e-7": lambda doc: _edit_twins(
+        doc, lambda rec: rec.update({"lambda": rec["lambda"] * (1 + 1e-7)})),
     "c[2] of (k, n) = (3, 2) scaled by 1 + 1e-3": lambda doc: _edit_twins(
         doc, lambda rec: rec["c"].__setitem__(2, rec["c"][2] * (1 + 1e-3))),
     "the c of (k, n) = (3, 2) set to zero": lambda doc: _edit_twins(
@@ -702,17 +773,19 @@ def test_load_rejects_a_mode_off_its_boundary_conditions(tmp_path, basis60,
 def test_load_passes_every_mode_its_build_gate_passes(tmp_path, basis1200,
                                                      monkeypatch):
     # the loader's residual is the build's sigma_min / sigma_max up to
-    # rounding, so a cache loads under the tightest gate its build passes
+    # rounding, so a cache loads under the tightest gate its build passes;
+    # the loader's own gate keeps 100 times that
     mats = spectral._boundary_matrices(
         np.array([m.k for m in basis1200.modes if m.k >= 1]),
         [m.lam for m in basis1200.modes if m.k >= 1])
     sing = np.linalg.svd(mats, compute_uv=False)
     tightest = float((sing[:, 3] / sing[:, 0]).max())
+    assert 100 * tightest <= hilbert.LOAD_RESIDUAL_GATE
     path = tmp_path / "b.json"
     save_basis(basis1200, path)
-    monkeypatch.setattr(hilbert, "RESIDUAL_GATE", 1.01 * tightest)
+    monkeypatch.setattr(hilbert, "LOAD_RESIDUAL_GATE", 1.01 * tightest)
     assert load_basis(path).basis_id == basis1200.basis_id
-    monkeypatch.setattr(hilbert, "RESIDUAL_GATE", 0.99 * tightest)
+    monkeypatch.setattr(hilbert, "LOAD_RESIDUAL_GATE", 0.99 * tightest)
     with pytest.raises(BasisFormatError, match="boundary residual"):
         load_basis(path)
 
@@ -727,23 +800,63 @@ def test_load_rejects_k_range_other_than_the_cutoffs(tmp_path, basis60,
         load_basis(path)
 
 
+def chunked_factor_r(rows, r_g, weights, scales):
+    """``stacked_factor_r`` at ``_STACK_ROWS = rows``, and the number of
+    chunks it streamed: its np.linalg.qr calls but the one of
+    ``_eps_rank_rows``."""
+    calls = []
+
+    def counting(a, mode="reduced", _real=np.linalg.qr):
+        calls.append(a.shape)
+        return _real(a, mode=mode)
+
+    with mock.patch.object(hilbert, "_STACK_ROWS", rows), \
+            mock.patch.object(np.linalg, "qr", counting):
+        got = hilbert.stacked_factor_r(r_g, weights, scales)
+    return got, len(calls) - 1
+
+
+def due_chunks(rows, r_g, weights, scales):
+    """The chunks the stack of :func:`chunked_factor_r` is due to take: its
+    eps-rank rows k in blocks of m rows, as many as fit beside R's n rows in
+    max(rows, 4 n) rows, so at least three when m <= n."""
+    m, n = r_g.shape
+    k = len(hilbert._eps_rank_rows(weights[:, None] * scales))
+    return -(-k // max(1, (max(rows, 4 * n) - n) // m))
+
+
+def test_stacked_factor_r_chunks_hold_three_blocks_when_n_is_large():
+    # n = 400 > 1024 / 4: seven 400-row blocks in chunks of R and three
+    # blocks (1,600 rows), not one, so R is factored three times, not seven
+    rng = np.random.default_rng(3)
+    n, n_blocks = 400, 7
+    r_g = np.triu(rng.standard_normal((n, n)))
+    weights = rng.uniform(0.1, 2.0, n_blocks)
+    scales = rng.uniform(0.5, 2.0, (n_blocks, n))
+    _, chunks = chunked_factor_r(hilbert._STACK_ROWS, r_g, weights, scales)
+    assert chunks == due_chunks(hilbert._STACK_ROWS, r_g, weights, scales) == 3
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 9),
        blocks=st.sampled_from(["fewer", "one", "one_plus_one", "n_over_rows"]),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(n=9, blocks="one_plus_one", seed=0)    # 2 chunks
+@example(n=9, blocks="n_over_rows", seed=0)     # 3 chunks of 3 blocks
 def test_stacked_factor_r_matches_full_stack_qr(n, blocks, seed):
     # a 48-row buffer stands in for the default, so every way a stack can
-    # split into chunks is reached on small matrices
+    # split into chunks is reached on small matrices; with a bound below n
+    # rows the 4 n floor holds three blocks per chunk
     rows = 48 if blocks != "n_over_rows" else n - 1
     per = max(1, (rows - n) // n)
     n_blocks = {"fewer": max(1, per - 1), "one": per, "one_plus_one": per + 1,
-                "n_over_rows": 3}[blocks]
+                "n_over_rows": 9}[blocks]
     rng = np.random.default_rng(seed)
     r_g = np.triu(rng.standard_normal((n, n)))
     weights = rng.uniform(0.1, 2.0, n_blocks)
     scales = np.exp(rng.uniform(-3.0, 3.0, (n_blocks, n)))
-    with mock.patch.object(hilbert, "_STACK_ROWS", rows):
-        got = hilbert.stacked_factor_r(r_g, weights, scales)
+    got, chunks = chunked_factor_r(rows, r_g, weights, scales)
+    assert chunks == due_chunks(rows, r_g, weights, scales)
     full = weights[:, None, None] * (r_g[None] * scales[:, None, :])
     ref = np.linalg.qr(full.reshape(-1, n), mode="r")
     assert got.shape == ref.shape
@@ -779,8 +892,8 @@ def test_stacked_factor_r_compression_keeps_smallest_singular_value(
     scales = graded_scales(rng, n_blocks, n, decades, grading)
     r_g = np.triu(rng.standard_normal((n, n)))
     weights = rng.uniform(0.1, 2.0, n_blocks)
-    with mock.patch.object(hilbert, "_STACK_ROWS", 48):
-        got = hilbert.stacked_factor_r(r_g, weights, scales)
+    got, chunks = chunked_factor_r(48, r_g, weights, scales)
+    assert chunks == due_chunks(48, r_g, weights, scales)
     full = (weights[:, None, None] * (r_g[None] * scales[:, None, :])).reshape(-1, n)
     ref = np.linalg.qr(full, mode="r")
     assert got.shape == ref.shape
@@ -852,8 +965,8 @@ def test_stacked_factor_r_rank_deficient_weights(n, rows, deficiency, seed):
     # column norms spread over 12 decades, as the cosh(s q) columns do
     scales *= 10.0 ** rng.uniform(-6.0, 6.0, n)
     r_g = np.triu(rng.standard_normal((rows, n)))
-    with mock.patch.object(hilbert, "_STACK_ROWS", 48):
-        got = hilbert.stacked_factor_r(r_g, weights, scales)
+    got, chunks = chunked_factor_r(48, r_g, weights, scales)
+    assert chunks == due_chunks(48, r_g, weights, scales)
     full = (weights[:, None, None] * (r_g[None] * scales[:, None, :])).reshape(-1, n)
     ref = np.linalg.qr(full, mode="r")
     assert got.shape == ref.shape

@@ -2,10 +2,12 @@
 
 The reference functions below are the per-mode loops that the table
 replaced; every table-backed quantity must reproduce them bit for bit, except
-the modal sums of the augmented field, which reassociate their sums, and the
+the modal sums of the augmented field, which reassociate their sums, the
 sampled velocity factor, a different factorization of the same samples that
 is compared with ``mode_reference.ref_sampled_velocity_factor`` to eps
-relative.
+relative, and the velocity and Rayleigh Gramians, whose row-panel GEMMs
+reproduce the loops' whole products bit for bit only when one panel covers
+every row.
 """
 
 import functools
@@ -26,7 +28,7 @@ from stokesheat import (
     rayleigh_matrix,
     trace_gramian,
 )
-from stokesheat import specineq
+from stokesheat import hilbert, specineq
 from stokesheat.hilbert import sampled_velocity_factor
 from stokesheat.quadrature import (
     COS,
@@ -213,19 +215,32 @@ def basis400():
     return basis_at(400.0)
 
 
+def check_panel_gramian(monkeypatch, gramian, ref):
+    """``gramian()`` against the per-mode loop's ``ref``: byte for byte (a
+    flipped zero sign fails too) with one panel over every row, whose GEMMs
+    are the loop's whole products, and within n eps max |ref| in the
+    default 64-row panels."""
+    n = len(ref)
+    assert (np.abs(gramian() - ref).max()
+            <= n * np.finfo(float).eps * np.abs(ref).max())
+    with monkeypatch.context() as patch:
+        patch.setattr(hilbert, "_PANEL_ROWS", n)
+        assert gramian().tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("region", [QUARTER, FULL_REGION],
                          ids=["quarter_strip", "full_strip"])
-def test_obs_gramian_bit_equal_to_per_mode_loop(basis400, region):
-    # byte equality: a flipped zero sign fails too
-    got = obs_gramian(basis400, region).matrix
-    assert got.tobytes() == ref_obs_gramian(basis400, region).tobytes()
+def test_obs_gramian_bit_equal_to_per_mode_loop(monkeypatch, basis400, region):
+    check_panel_gramian(monkeypatch,
+                        lambda: obs_gramian(basis400, region).matrix,
+                        ref_obs_gramian(basis400, region))
 
 
-def test_trace_and_rayleigh_bit_equal_to_per_mode_loop(basis400):
+def test_trace_and_rayleigh_bit_equal_to_per_mode_loop(monkeypatch, basis400):
     assert (trace_gramian(basis400).tobytes()
             == ref_trace_gramian(basis400).tobytes())
-    assert (rayleigh_matrix(basis400).tobytes()
-            == ref_rayleigh_matrix(basis400).tobytes())
+    check_panel_gramian(monkeypatch, lambda: rayleigh_matrix(basis400),
+                        ref_rayleigh_matrix(basis400))
 
 
 def test_sampled_velocity_factor_matches_sample_matrix_qr(basis400):
